@@ -10,8 +10,8 @@
 //! store from its traces, and writes the per-storage-node stripe files
 //! plus the sealed superblock under `DIR` (default
 //! `FLO_STORE_DIR`/`target/store`, in a per-app-and-policy
-//! subdirectory). `replay` opens the sealed store and drives the app's
-//! interleaved trace through real block caches and verified preads,
+//! subdirectory). `replay` opens the sealed store and runs the
+//! simulator's walk over the app's trace with verified preads,
 //! printing measured per-layer hit rates next to the simulator's
 //! prediction for the same point.
 //!

@@ -5,17 +5,19 @@
 //! KARMA), the optimized (`Inter`) layouts are **materialized** into an
 //! actual `flo-store` store — per-storage-node stripe files of real,
 //! checksummed blocks — and the same interleaved trace the simulator
-//! consumes is **replayed** through real block caches in front of that
-//! store. The table reports per-layer hit rates and disk reads from both
+//! consumes is **replayed** against that store: the simulator's walk
+//! runs unchanged and every disk read it charges becomes a verified
+//! pread. The table reports per-layer hit rates and disk reads from both
 //! sides, with `sim − measured` deltas; the companion artifact
 //! (`BENCH_store.json`) carries the same points plus an `agree` verdict
 //! per point, gated in CI by the `figm` binary's exit status.
 //!
-//! Because the replayer drives the simulator's own set-associative index
-//! over the real buffers, agreement is not approximate: on a fault-free
-//! replay every delta is exactly zero, and any nonzero delta is a bug in
-//! the store or the simulator, not measurement noise. The tolerance
-//! exists to catch such bugs loudly, not to absorb them.
+//! Because the replay runs the simulator's own walk with a real-bytes
+//! backend, agreement is not approximate: on a fault-free replay every
+//! delta is exactly zero, and any nonzero delta is a plumbing bug in the
+//! store, not measurement noise. The tolerance exists to catch such bugs
+//! loudly, not to absorb them; the walk itself is checked independently
+//! by flo-sim's naive reference hierarchy (`oracle` tests).
 
 use crate::experiments::pct;
 use crate::harness::{karma_hints, prepare_run, RunOverrides, Scheme};
@@ -26,7 +28,7 @@ use crate::{
 };
 use flo_core::{generate_traces, FileLayout};
 use flo_json::Json;
-use flo_obs::{MetricsObserver, StoreCounters};
+use flo_obs::{Layer, MetricsObserver, StoreCounters};
 use flo_sim::{simulate, PolicyKind, StorageSystem, ThreadTrace, Topology};
 use flo_store::{materialize, FileBlocks, MaterializeOptions, ReplayOptions, Store, StoreSpec};
 use flo_workloads::{Scale, Workload};
@@ -36,8 +38,8 @@ use std::path::Path;
 pub const POLICIES: [PolicyKind; 2] = [PolicyKind::LruInclusive, PolicyKind::Karma];
 
 /// Per-point agreement tolerance on hit-rate and disk-read deltas. The
-/// replay shares the simulator's index structures, so honest runs land
-/// at exactly 0.0; anything above this is a correctness bug.
+/// replay runs the simulator's own walk, so honest runs land at exactly
+/// 0.0; anything above this is a correctness bug.
 pub const TOLERANCE: f64 = 1e-9;
 
 /// The default measured suite: one application per locality group of the
@@ -237,23 +239,21 @@ pub fn measure_point(
     let measured = flo_store::replay_observed(&store, topo, &traces, &replay_opts, &mut obs)
         .map_err(store_err)?;
 
-    let mut counters = StoreCounters {
+    // The replay writes nothing: write-backs and the dirty high-water
+    // are the materializer's, evictions add the replay walk's.
+    let counters = StoreCounters {
         blocks_materialized: mat.blocks_written,
         bytes_written: mat.bytes_written,
         bytes_read: measured.bytes_read,
         evictions: mat.cache.evictions
-            + measured.io_cache.evictions
-            + measured.storage_cache.evictions,
+            + obs.layer_totals(Layer::Io).evictions
+            + obs.layer_totals(Layer::Storage).evictions,
         writebacks: mat.cache.writebacks,
         dirty_high_water: mat.cache.dirty_high_water,
         retries: measured.retries,
         retry_ms: measured.retry_ms,
         replay_wall_ms: measured.wall_ms,
     };
-    counters.dirty_high_water = counters
-        .dirty_high_water
-        .max(measured.io_cache.dirty_high_water)
-        .max(measured.storage_cache.dirty_high_water);
     if metrics::enabled() {
         obs.store = counters;
         // The event carries the replay's *report-convention* layer
@@ -356,8 +356,8 @@ pub fn run_with_dir(scale: Scale, store_dir: &Path) -> Result<FigmOutput, BenchE
         .map(MeasuredPoint::worst_delta)
         .fold(0.0f64, f64::max);
     t.note(format!(
-        "measured runs replay the simulator's interleaved trace through real block caches and \
-         verified preads; agreement gate: every delta ≤ {TOLERANCE:.0e} (worst: {worst_delta:.1e})"
+        "measured runs replay the simulator's walk over real stripe files with verified \
+         preads; agreement gate: every delta ≤ {TOLERANCE:.0e} (worst: {worst_delta:.1e})"
     ));
     t.note("Δ columns are sim − measured; exact zeros are expected, not rounding luck");
     let doc = Json::obj()

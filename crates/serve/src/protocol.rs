@@ -174,8 +174,8 @@ pub enum Request {
         fault: Option<FaultSpec>,
     },
     /// Materialize the app's optimized layouts into a real `flo-store`
-    /// store on the serving node and replay its trace through real
-    /// block caches — the remote face of the `figm` experiment. The
+    /// store on the serving node and replay its trace against the stripe
+    /// files — the remote face of the `figm` experiment. The
     /// result carries measured-vs-simulated hit rates and the agreement
     /// verdict; wall-clock fields are deliberately omitted so the
     /// response stays cacheable, reproducible bytes.

@@ -24,8 +24,12 @@
 //! disks, transient I/O errors absorbed by retry/backoff, cache flushes)
 //! as a pure function of `(seed, sequence time)`, so degraded-mode runs
 //! are as reproducible as healthy ones — and the no-plan path compiles
-//! the fault hooks out entirely.
+//! the fault hooks out entirely. The same walk runs against real bytes:
+//! [`drive`] is generic over a [`BlockBackend`], and `flo-store`'s
+//! replay instantiates it with one that preads every simulated disk
+//! read.
 
+pub mod backend;
 pub mod block;
 pub mod cache;
 pub mod disk;
@@ -41,6 +45,7 @@ pub mod system;
 pub mod topology;
 pub mod trace;
 
+pub use backend::{BlockBackend, Simulated};
 pub use block::{BlockAddr, FileId};
 pub use cache::LruCore;
 pub use disk::DiskModel;
@@ -51,7 +56,7 @@ pub use policies::karma::KarmaHints;
 pub use policies::PolicyKind;
 pub use seedpath::simulate_seed;
 pub use sim::{
-    simulate, simulate_faulted, simulate_faulted_observed, simulate_observed, RunConfig,
+    drive, simulate, simulate_faulted, simulate_faulted_observed, simulate_observed, RunConfig,
 };
 pub use stackdist::{
     simulate_sweep, simulate_sweep_faulted, simulate_sweep_observed, MultiCapacityStack, SweepPoint,

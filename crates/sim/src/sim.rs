@@ -1,5 +1,6 @@
 //! The simulation driver.
 
+use crate::backend::{BlockBackend, Simulated};
 use crate::fault::{FaultHook, FaultState, NoFaults};
 use crate::stats::{LayerStats, SimReport};
 use crate::system::StorageSystem;
@@ -51,7 +52,7 @@ pub fn simulate_observed<O: Observer>(
     cfg: &RunConfig,
     obs: &mut O,
 ) -> SimReport {
-    drive(system, traces, cfg, obs, &mut NoFaults)
+    drive(system, traces, cfg, obs, &mut NoFaults, &mut Simulated)
 }
 
 /// [`simulate`] under a fault plan: `faults` replays its seeded schedule
@@ -78,17 +79,21 @@ pub fn simulate_faulted_observed<O: Observer>(
     faults: &mut FaultState,
 ) -> SimReport {
     let _span = flo_obs::span("faults");
-    drive(system, traces, cfg, obs, faults)
+    drive(system, traces, cfg, obs, faults, &mut Simulated)
 }
 
-/// The shared driver: generic over both the observer and the fault hook,
-/// so the unfaulted entry points monomorphize to the pre-fault walk.
-fn drive<O: Observer, F: FaultHook>(
+/// The one generic driver behind every `simulate*` entry point: generic
+/// over the observer, the fault hook and the block backend, so the
+/// unfaulted, model-only entry points monomorphize to the pre-fault walk.
+/// A real-bytes backend (`flo-store`'s replay) runs this same walk and
+/// receives every disk read the simulator charges.
+pub fn drive<O: Observer, F: FaultHook, B: BlockBackend>(
     system: &mut StorageSystem,
     traces: &[ThreadTrace],
     cfg: &RunConfig,
     obs: &mut O,
     faults: &mut F,
+    backend: &mut B,
 ) -> SimReport {
     let mut latency = vec![0.0f64; traces.len()];
     let mut total_requests = 0u64;
@@ -106,6 +111,7 @@ fn drive<O: Observer, F: FaultHook>(
             entry.count,
             obs,
             faults,
+            backend,
         );
         latency[t] += ms;
         total_requests += 1;

@@ -1,5 +1,6 @@
 //! The assembled storage system: routing + caches + disks + policy walk.
 
+use crate::backend::{BlockBackend, Simulated};
 use crate::block::BlockAddr;
 use crate::cache::{CacheStats, SetAssocCache};
 use crate::disk::{DiskModel, DiskState};
@@ -158,21 +159,30 @@ impl StorageSystem {
         weight: u32,
         obs: &mut O,
     ) -> f64 {
-        self.access_faulted(compute_node, block, weight, obs, &mut NoFaults)
+        self.access_faulted(
+            compute_node,
+            block,
+            weight,
+            obs,
+            &mut NoFaults,
+            &mut Simulated,
+        )
     }
 
     /// [`access_observed`](Self::access_observed) under a fault hook: the
     /// hook ticks its schedule clock, may reroute the request around an
     /// outage, and may inflate the disk cost (stragglers, transient-error
-    /// retries). With [`NoFaults`] every hook site monomorphizes away and
-    /// this *is* `access_observed`.
-    pub fn access_faulted<O: Observer, F: FaultHook>(
+    /// retries). Every disk read also goes to `backend`. With [`NoFaults`]
+    /// and [`Simulated`] every hook site monomorphizes away and this *is*
+    /// `access_observed`.
+    pub fn access_faulted<O: Observer, F: FaultHook, B: BlockBackend>(
         &mut self,
         compute_node: usize,
         block: BlockAddr,
         weight: u32,
         obs: &mut O,
         faults: &mut F,
+        backend: &mut B,
     ) -> f64 {
         if F::ACTIVE {
             faults.on_request(self, obs);
@@ -182,26 +192,31 @@ impl StorageSystem {
         if F::ACTIVE {
             sc_idx = faults.route(&self.topo, block, sc_idx, obs);
         }
+        let nodes = (io_idx, sc_idx);
         match self.policy {
             PolicyKind::LruInclusive => {
-                self.access_inclusive(io_idx, sc_idx, block, weight, obs, faults)
+                self.access_inclusive(nodes, block, weight, obs, faults, backend)
             }
-            PolicyKind::DemoteLru => self.access_demote(io_idx, sc_idx, block, weight, obs, faults),
-            PolicyKind::Karma => self.access_karma(io_idx, sc_idx, block, weight, obs, faults),
-            PolicyKind::MqSecondLevel => self.access_mq(io_idx, sc_idx, block, weight, obs, faults),
+            PolicyKind::DemoteLru => self.access_demote(nodes, block, weight, obs, faults, backend),
+            PolicyKind::Karma => self.access_karma(nodes, block, weight, obs, faults, backend),
+            PolicyKind::MqSecondLevel => self.access_mq(nodes, block, weight, obs, faults, backend),
         }
     }
 
-    fn disk_read<O: Observer, F: FaultHook>(
+    fn disk_read<O: Observer, F: FaultHook, B: BlockBackend>(
         &mut self,
         sc_idx: usize,
         block: BlockAddr,
         obs: &mut O,
         faults: &mut F,
+        backend: &mut B,
     ) -> f64 {
         let (ms, sequential) =
             self.disks[sc_idx].read_classified(block, &self.disk_model, self.topo.storage_nodes);
         obs.disk_read(sc_idx, sequential, ms);
+        if B::REAL {
+            backend.read(sc_idx, block);
+        }
         if F::ACTIVE {
             faults.disk_cost(sc_idx, ms, obs)
         } else {
@@ -209,14 +224,14 @@ impl StorageSystem {
         }
     }
 
-    fn access_inclusive<O: Observer, F: FaultHook>(
+    fn access_inclusive<O: Observer, F: FaultHook, B: BlockBackend>(
         &mut self,
-        io_idx: usize,
-        sc_idx: usize,
+        (io_idx, sc_idx): (usize, usize),
         block: BlockAddr,
         weight: u32,
         obs: &mut O,
         faults: &mut F,
+        backend: &mut B,
     ) -> f64 {
         if self.io_caches[io_idx].access_weighted(block, weight) {
             obs.cache_access(Layer::Io, io_idx, true, weight);
@@ -233,7 +248,7 @@ impl StorageSystem {
             return self.costs.io_hit_ms + self.costs.storage_hit_ms;
         }
         obs.cache_access(Layer::Storage, sc_idx, false, 1);
-        let disk = self.disk_read(sc_idx, block, obs, faults);
+        let disk = self.disk_read(sc_idx, block, obs, faults, backend);
         // Inclusive: the block is installed at both layers.
         if self.storage_caches[sc_idx].insert_absent(block).is_some() {
             obs.eviction(Layer::Storage, sc_idx);
@@ -244,14 +259,14 @@ impl StorageSystem {
         self.costs.io_hit_ms + self.costs.storage_hit_ms + disk
     }
 
-    fn access_demote<O: Observer, F: FaultHook>(
+    fn access_demote<O: Observer, F: FaultHook, B: BlockBackend>(
         &mut self,
-        io_idx: usize,
-        sc_idx: usize,
+        (io_idx, sc_idx): (usize, usize),
         block: BlockAddr,
         weight: u32,
         obs: &mut O,
         faults: &mut F,
+        backend: &mut B,
     ) -> f64 {
         let out = demote::access_weighted(
             &mut self.io_caches[io_idx],
@@ -284,7 +299,7 @@ impl StorageSystem {
                     obs.eviction(Layer::Io, io_idx);
                     obs.demotion(io_idx);
                 }
-                let disk = self.disk_read(sc_idx, block, obs, faults);
+                let disk = self.disk_read(sc_idx, block, obs, faults, backend);
                 self.costs.io_hit_ms
                     + self.costs.storage_hit_ms
                     + disk
@@ -293,14 +308,14 @@ impl StorageSystem {
         }
     }
 
-    fn access_karma<O: Observer, F: FaultHook>(
+    fn access_karma<O: Observer, F: FaultHook, B: BlockBackend>(
         &mut self,
-        io_idx: usize,
-        sc_idx: usize,
+        (io_idx, sc_idx): (usize, usize),
         block: BlockAddr,
         weight: u32,
         obs: &mut O,
         faults: &mut F,
+        backend: &mut B,
     ) -> f64 {
         match self.karma.level_for(io_idx, block.file) {
             KarmaLevel::Io => {
@@ -312,7 +327,7 @@ impl StorageSystem {
                     return self.costs.io_hit_ms;
                 }
                 obs.cache_access(Layer::Io, io_idx, false, weight);
-                let disk = self.disk_read(sc_idx, block, obs, faults);
+                let disk = self.disk_read(sc_idx, block, obs, faults, backend);
                 if self.io_caches[io_idx].insert_absent(block).is_some() {
                     obs.eviction(Layer::Io, io_idx);
                 }
@@ -329,7 +344,7 @@ impl StorageSystem {
                     return self.costs.io_hit_ms + self.costs.storage_hit_ms;
                 }
                 obs.cache_access(Layer::Storage, sc_idx, false, 1);
-                let disk = self.disk_read(sc_idx, block, obs, faults);
+                let disk = self.disk_read(sc_idx, block, obs, faults, backend);
                 if self.storage_caches[sc_idx].insert_absent(block).is_some() {
                     obs.eviction(Layer::Storage, sc_idx);
                 }
@@ -341,20 +356,20 @@ impl StorageSystem {
                 obs.cache_access(Layer::Io, io_idx, io_hit, weight);
                 let sc_hit = self.storage_caches[sc_idx].access(block);
                 obs.cache_access(Layer::Storage, sc_idx, sc_hit, 1);
-                let disk = self.disk_read(sc_idx, block, obs, faults);
+                let disk = self.disk_read(sc_idx, block, obs, faults, backend);
                 self.costs.io_hit_ms + self.costs.storage_hit_ms + disk
             }
         }
     }
 
-    fn access_mq<O: Observer, F: FaultHook>(
+    fn access_mq<O: Observer, F: FaultHook, B: BlockBackend>(
         &mut self,
-        io_idx: usize,
-        sc_idx: usize,
+        (io_idx, sc_idx): (usize, usize),
         block: BlockAddr,
         weight: u32,
         obs: &mut O,
         faults: &mut F,
+        backend: &mut B,
     ) -> f64 {
         if self.io_caches[io_idx].access_weighted(block, weight) {
             obs.cache_access(Layer::Io, io_idx, true, weight);
@@ -369,7 +384,7 @@ impl StorageSystem {
             return self.costs.io_hit_ms + self.costs.storage_hit_ms;
         }
         obs.cache_access(Layer::Storage, sc_idx, false, 1);
-        let disk = self.disk_read(sc_idx, block, obs, faults);
+        let disk = self.disk_read(sc_idx, block, obs, faults, backend);
         if self.mq_caches[sc_idx].insert(block).is_some() {
             obs.eviction(Layer::Storage, sc_idx);
         }

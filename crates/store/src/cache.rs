@@ -1,22 +1,19 @@
-//! The block cache: real buffers behind the simulator's own index.
+//! The materializer's write-back block cache: real buffers behind the
+//! simulator's own index.
 //!
-//! [`BlockCache`] pairs a [`SetAssocCache`] — the exact residency,
-//! recency and hit/miss machinery the simulator runs — with a map of
-//! real data buffers, one per resident block. Every lookup and insert
-//! goes through the shared index, so the measured hit/miss/eviction
-//! stream is *bit-identical* to the simulated one on the same trace:
-//! that is what lets `figm` assert simulated-vs-measured agreement
-//! instead of merely eyeballing it. (The set-associative index is the
-//! sharded-LRU structure: `capacity/ways` independent LRU lists.)
+//! [`BlockCache`] pairs a [`SetAssocCache`] — the simulator's residency
+//! and recency machinery, `capacity/ways` independent LRU sets — with a
+//! map of real data buffers, one per resident block. The index picks
+//! every victim, so the write pattern follows the same sharded-LRU
+//! geometry the simulated caches use.
 //!
-//! The cache is write-back: [`fill`](BlockCache::fill)ed or
-//! [`mark_dirty`](BlockCache::mark_dirty)ed buffers age in memory until
+//! [`fill`](BlockCache::fill)ed dirty buffers age in memory until
 //! eviction or an explicit [`drain_dirty`](BlockCache::drain_dirty).
 //! The cache itself never touches the disk — evictions hand the victim
 //! buffer (with its dirty bit) back to the caller, which owns the flush
 //! discipline (data before superblock; see `materialize`).
 
-use flo_sim::cache::{CacheStats, SetAssocCache};
+use flo_sim::cache::SetAssocCache;
 use flo_sim::BlockAddr;
 use std::collections::HashMap;
 
@@ -39,7 +36,7 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
-/// Counters the cache keeps beyond the index's hit/miss stats.
+/// Eviction and write-back counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Blocks evicted to make room.
@@ -73,44 +70,9 @@ impl BlockCache {
         }
     }
 
-    /// Capacity in blocks (after geometry rounding).
-    pub fn capacity(&self) -> usize {
-        self.index.capacity()
-    }
-
-    /// Resident block count.
-    pub fn len(&self) -> usize {
-        self.buffers.len()
-    }
-
-    /// Whether nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.buffers.is_empty()
-    }
-
-    /// Currently dirty buffer count.
-    pub fn dirty_count(&self) -> u64 {
-        self.dirty
-    }
-
-    /// Weighted lookup, identical accounting to the simulator's caches:
-    /// all `weight` element accesses hit when resident; on a miss the
-    /// first is the miss and the rest are buffered hits. Promotes to MRU
-    /// on hit. Returns `true` when resident.
-    pub fn access(&mut self, block: BlockAddr, weight: u32) -> bool {
-        let hit = self.index.access_weighted(block, weight);
-        debug_assert_eq!(hit, self.buffers.contains_key(&block), "index/buffer split");
-        hit
-    }
-
-    /// Borrow a resident block's bytes (no recency or stats effect).
-    pub fn peek(&self, block: BlockAddr) -> Option<&[u8]> {
-        self.buffers.get(&block).map(|b| b.data.as_slice())
-    }
-
-    /// Install `data` for a block that just missed (or overwrite a
-    /// resident block's buffer). Returns the victim the caller must
-    /// handle — write it back iff `Eviction::dirty`.
+    /// Install `data` for a block (or overwrite a resident block's
+    /// buffer). Returns the victim the caller must handle — write it
+    /// back iff `Eviction::dirty`.
     pub fn fill(&mut self, block: BlockAddr, data: Vec<u8>, dirty: bool) -> Option<Eviction> {
         let evicted = if self.buffers.contains_key(&block) {
             // Overwrite in place: promote, replace bytes, update dirty.
@@ -148,22 +110,6 @@ impl BlockCache {
         evicted
     }
 
-    /// Mark a resident block dirty (a write hit). Returns whether the
-    /// block was resident.
-    pub fn mark_dirty(&mut self, block: BlockAddr) -> bool {
-        match self.buffers.get_mut(&block) {
-            Some(buf) => {
-                if !buf.dirty {
-                    buf.dirty = true;
-                    self.dirty += 1;
-                    self.counters.dirty_high_water = self.counters.dirty_high_water.max(self.dirty);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Hand back every dirty buffer (cloned; blocks stay resident and
     /// become clean). Sorted by block address so the flush order — and
     /// therefore the on-disk write pattern — is deterministic.
@@ -181,24 +127,6 @@ impl BlockCache {
         self.counters.writebacks += out.len() as u64;
         self.dirty = 0;
         out
-    }
-
-    /// Drop every resident buffer, keeping counters — the real-bytes
-    /// analogue of the simulator's `invalidate_all` fault event. Dirty
-    /// buffers are *lost*, so callers flush first; returns how many
-    /// dirty buffers were discarded (tests assert 0 on clean paths).
-    pub fn invalidate_all(&mut self) -> u64 {
-        self.index.invalidate_all();
-        let lost = self.dirty;
-        self.buffers.clear();
-        self.dirty = 0;
-        lost
-    }
-
-    /// The index's hit/miss counters — directly comparable with the
-    /// simulator's per-layer [`CacheStats`].
-    pub fn stats(&self) -> CacheStats {
-        self.index.stats()
     }
 
     /// Eviction/write-back/dirty counters.
@@ -220,30 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_matches_bare_index_on_same_trace() {
-        // The whole point: a BlockCache and a bare SetAssocCache driven
-        // by the same access/insert sequence produce identical stats.
-        let mut cache = BlockCache::new(8, 2);
-        let mut index = SetAssocCache::new(8, 2);
-        let mut x: u64 = 7;
-        for _ in 0..2000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let blk = b(x % 24);
-            let hc = cache.access(blk, 3);
-            let hi = index.access_weighted(blk, 3);
-            assert_eq!(hc, hi);
-            if !hc {
-                cache.fill(blk, bytes(blk.index), false);
-                index.insert(blk);
-            }
-        }
-        assert_eq!(cache.stats(), index.stats());
-        assert_eq!(cache.len(), index.len());
-    }
-
-    #[test]
     fn eviction_returns_victim_buffer() {
         // 1-set cache of 2 ways: third insert evicts the LRU victim.
         let mut c = BlockCache::new(2, 2);
@@ -262,7 +166,10 @@ mod tests {
         assert_eq!(ev.block, b(8));
         assert!(ev.dirty);
         assert_eq!(c.counters().writebacks, 1);
-        assert_eq!(c.dirty_count(), 0);
+        assert!(
+            c.drain_dirty().is_empty(),
+            "the dirty victim left the cache"
+        );
     }
 
     #[test]
@@ -271,16 +178,19 @@ mod tests {
         c.fill(b(0), bytes(0), true);
         c.fill(b(1), bytes(1), true);
         c.fill(b(2), bytes(2), false);
-        assert!(c.mark_dirty(b(2)));
-        assert!(!c.mark_dirty(b(99)), "absent block cannot be dirtied");
-        assert_eq!(c.dirty_count(), 3);
+        c.fill(b(2), bytes(2), true); // a write hit dirties in place
         assert_eq!(c.counters().dirty_high_water, 3);
         let drained = c.drain_dirty();
         assert_eq!(drained.len(), 3);
-        assert_eq!(c.dirty_count(), 0);
         assert_eq!(c.counters().writebacks, 3);
-        // Drained blocks stay resident and clean.
-        assert!(c.access(b(0), 1));
+        assert!(c.drain_dirty().is_empty());
+        // Drained blocks stay resident, clean and keep their bytes: b(4)
+        // takes set 0's free way, so b(8) must evict b(0) (the LRU way).
+        assert!(c.fill(b(4), bytes(4), false).is_none());
+        let ev = c.fill(b(8), bytes(8), false).expect("set 0 is full");
+        assert_eq!(ev.block, b(0));
+        assert_eq!(ev.data, bytes(0));
+        assert!(!ev.dirty);
         assert_eq!(c.counters().dirty_high_water, 3, "high water persists");
         // Drain order is deterministic (sorted by address).
         let blocks: Vec<_> = drained.iter().map(|(blk, _)| *blk).collect();
@@ -291,25 +201,15 @@ mod tests {
     fn overwrite_in_place_updates_dirty_state() {
         let mut c = BlockCache::new(4, 4);
         c.fill(b(1), bytes(1), true);
-        assert_eq!(c.dirty_count(), 1);
         assert!(c.fill(b(1), bytes(2), false).is_none(), "no self-eviction");
-        assert_eq!(c.dirty_count(), 0);
-        assert_eq!(c.peek(b(1)), Some(&bytes(2)[..]));
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn invalidate_reports_lost_dirty_buffers() {
-        let mut c = BlockCache::new(4, 4);
-        c.fill(b(0), bytes(0), true);
-        c.fill(b(1), bytes(1), false);
-        assert_eq!(c.invalidate_all(), 1, "one dirty buffer lost");
-        assert!(c.is_empty());
-        assert_eq!(c.dirty_count(), 0);
-        // Stats survive invalidation, like the simulator's caches.
-        assert_eq!(c.stats().accesses, 0);
-        c.fill(b(0), bytes(0), false);
-        assert!(c.access(b(0), 1));
-        assert_eq!(c.stats().hits, 1);
+        assert!(c.drain_dirty().is_empty(), "clean overwrite clears dirty");
+        assert_eq!(c.counters().writebacks, 0);
+        // The overwrite replaced the bytes and kept one resident copy:
+        // three more blocks fit the 4-way set without an eviction.
+        c.fill(b(1), bytes(3), true);
+        for i in 2..5 {
+            assert!(c.fill(b(i), bytes(i), false).is_none());
+        }
+        assert_eq!(c.drain_dirty(), vec![(b(1), bytes(3))]);
     }
 }

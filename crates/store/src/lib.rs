@@ -1,36 +1,39 @@
 //! flo-store: a real-bytes storage backend for optimized layouts.
 //!
 //! Everything upstream of this crate *models* the storage hierarchy;
-//! flo-store *builds* it. The [`materialize`] pass takes the block map
-//! an optimized [`FileLayout`](https://docs.rs) produces — expressed as
-//! a [`StoreSpec`] — and writes per-storage-node stripe files of real,
-//! checksummed blocks, sealed by a versioned superblock that commits
-//! the generation atomically. The [`Store`] read path serves verified
-//! preads from a sealed generation; the [`replay`] pass drives the same
-//! interleaved trace the simulator consumes through real
-//! [`BlockCache`]s in front of that store, producing a
-//! [`MeasuredReport`] whose per-layer hit statistics are bit-comparable
-//! with the simulator's [`SimReport`](flo_sim::SimReport).
+//! flo-store *builds* it. The [`materialize`](fn@materialize) pass
+//! takes the block map an optimized layout (`flo_core::FileLayout`)
+//! produces — expressed as a [`StoreSpec`] — and writes
+//! per-storage-node stripe files of real, checksummed blocks, sealed by
+//! a versioned superblock that commits the generation atomically. The
+//! [`Store`] read path serves verified preads from a sealed generation;
+//! the [`replay`](fn@replay) pass is the simulator's walk with the
+//! `Files` backend — every disk read the walk charges becomes a pread
+//! against that store — producing a [`MeasuredReport`] whose per-layer
+//! hit statistics are bit-comparable with the simulator's
+//! [`SimReport`](flo_sim::SimReport).
 //!
-//! That comparison is the point: the simulator's claims about layout
-//! quality stop being self-referential once every predicted hit rate is
-//! checked against a measured one on real bytes. `figm` in `flo-bench`
-//! runs the comparison across the paper's applications and both cache
-//! policies; the `store-smoke` CI job gates on the agreement.
+//! Because the walk is shared, agreement proves the plumbing: every
+//! block the simulator reads from disk exists at its simulated stripe
+//! and offset with the expected content. The walk itself is checked by
+//! flo-sim's independent reference hierarchy (`tests/oracle.rs`).
+//! `figm` in `flo-bench` runs the comparison across the paper's
+//! applications and both cache policies; the `store-smoke` CI job gates
+//! on the agreement.
 //!
 //! Module map:
-//! - [`format`] — on-disk encoding: superblock, stripe headers, block
-//!   slots, checksums, deterministic block fills.
-//! - [`materialize`] — the write path: generation-numbered stripes,
-//!   write-back or write-through through a [`BlockCache`], strict flush
-//!   ordering (data → fsync → superblock → fsync → rename), crash
-//!   points for consistency tests.
+//! - [`format`](mod@format) — on-disk encoding: superblock, stripe
+//!   headers, block slots, checksums, deterministic block fills.
+//! - [`materialize`](mod@materialize) — the write path:
+//!   generation-numbered stripes, write-back or write-through through a
+//!   [`BlockCache`], strict flush ordering (data → fsync → superblock →
+//!   fsync → rename), crash points for consistency tests.
 //! - [`store`] — the read path: open a sealed generation, serve
 //!   verified preads.
-//! - [`cache`] — a sharded-by-node block cache holding real buffers,
-//!   indexed by the simulator's own `SetAssocCache` so measured hit
-//!   streams match simulated ones exactly.
-//! - [`replay`] — the measurement pass.
+//! - [`cache`] — the materializer's write-back cache of real buffers,
+//!   indexed by the simulator's own `SetAssocCache`.
+//! - [`replay`](mod@replay) — the measurement pass: `flo_sim::drive`
+//!   with a real-bytes block backend.
 //! - [`error`] — typed failures; corruption is always an error, never a
 //!   panic.
 

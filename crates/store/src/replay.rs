@@ -1,55 +1,43 @@
-//! The trace replayer: drive the simulator's interleaved trace through
-//! real I/O and measure what the simulator only predicts.
+//! The trace replayer: run the simulator's own walk with the `Files`
+//! backend and measure what the simulator only predicts.
 //!
-//! [`replay`] consumes the *same* [`ThreadTrace`]s the simulator does,
-//! interleaved by the same [`JitterInterleaver`] under the same
-//! [`INTERLEAVE_SEED`], and walks each request through real
-//! [`BlockCache`]s (I/O layer, storage layer) in front of a sealed
-//! [`Store`]: cache hits serve bytes from memory, misses issue verified
-//! preads against the stripe files. The walk mirrors
-//! `StorageSystem::access_faulted` step for step — same lookup order,
-//! same weighted accounting, same insertion points — so on a fault-free
-//! run the measured per-layer hit/miss statistics are **bit-identical**
-//! to the simulated ones. That identity is what `figm` and the
-//! `store-smoke` CI job assert; any drift between the two walks is a
-//! bug in one of them.
+//! [`replay`] is `flo_sim::drive` — the walk behind every `simulate*`
+//! entry point — instantiated with a real-bytes [`BlockBackend`]: every
+//! disk read the walk charges becomes a pread (checksum-verified, and
+//! content-verified when [`ReplayOptions::verify_content`] is set)
+//! against a sealed [`Store`]'s stripe files. Cache residency, weighted
+//! accounting, latency charges and observer events are the simulator's
+//! by construction; what the replay adds is the physical reads, the
+//! bytes they return and the wall time they take. The independent check
+//! on the walk itself is the naive reference hierarchy in flo-sim's
+//! `oracle` test suite.
 //!
-//! Latency is charged from the same [`CostModel`]/[`DiskModel`] the
-//! simulator uses (with sequentiality classified by a mirrored
-//! [`DiskState`] scheduling window), so measured execution-time
-//! estimates are directly comparable — while `wall_ms` records the real
-//! elapsed time of the replay itself.
-//!
-//! Transient-only [`FaultPlan`]s are honored: the injector fails preads
-//! on the exact schedule [`FaultPlan::transient_fires`] draws for the
-//! simulator, charging the identical retry/backoff waits. Plans with
-//! outage/straggler/flush rates are rejected — those faults mutate
-//! routing and cache state in ways a real store cannot replay.
+//! Transient-only [`FaultPlan`]s are honored through the simulator's own
+//! [`FaultState`], so retries and their backoff waits are the simulated
+//! ones. Plans with outage/straggler/flush rates are rejected — those
+//! faults reroute requests or drop cache state in ways real stripe files
+//! cannot replay.
 
-use crate::cache::{BlockCache, CacheCounters};
 use crate::error::StoreError;
 use crate::store::Store;
-use flo_obs::{FaultEvent, Layer, NullObserver, Observer};
+use flo_obs::{NullObserver, Observer};
 use flo_sim::cache::CacheStats;
-use flo_sim::disk::DiskState;
-use flo_sim::policies::karma::{KarmaAssignment, KarmaHints, KarmaLevel};
-use flo_sim::sim::INTERLEAVE_SEED;
-use flo_sim::system::CostModel;
 use flo_sim::{
-    BlockAddr, DiskModel, FaultPlan, JitterInterleaver, PolicyKind, ThreadTrace, Topology,
+    drive, BlockAddr, BlockBackend, FaultPlan, FaultState, KarmaHints, NoFaults, PolicyKind,
+    RunConfig, StorageSystem, ThreadTrace, Topology,
 };
 use std::time::Instant;
 
 /// Replay parameters.
 #[derive(Clone, Debug)]
 pub struct ReplayOptions {
-    /// Hierarchy policy to mirror. Supported: [`PolicyKind::LruInclusive`]
+    /// Hierarchy policy to run. Supported: [`PolicyKind::LruInclusive`]
     /// and [`PolicyKind::Karma`]; the others are rejected as
     /// [`StoreError::Invalid`].
     pub policy: PolicyKind,
     /// KARMA's hints (required for [`PolicyKind::Karma`]).
     pub karma_hints: Option<KarmaHints>,
-    /// Transient-only fault plan for the pread fault injector.
+    /// Transient-only fault plan for the pread retry path.
     pub fault_plan: Option<FaultPlan>,
     /// Per-thread compute time for the execution-time estimate, matching
     /// [`flo_sim::RunConfig`].
@@ -71,9 +59,9 @@ impl Default for ReplayOptions {
     }
 }
 
-/// The measured counterpart of [`flo_sim::SimReport`]: per-layer cache
-/// statistics from real lookups, disk counters from real preads, plus
-/// the real-bytes extras (bytes read, cache counters, wall time).
+/// The measured counterpart of [`flo_sim::SimReport`]: the walk's
+/// per-layer cache statistics and disk counters, plus the real-bytes
+/// extras (bytes read, wall time).
 #[derive(Clone, Debug)]
 pub struct MeasuredReport {
     /// I/O-layer cache statistics (aggregated over nodes).
@@ -82,7 +70,7 @@ pub struct MeasuredReport {
     pub storage: CacheStats,
     /// Preads issued against stripe files.
     pub disk_reads: u64,
-    /// Preads classified sequential by the mirrored scheduling window.
+    /// Preads the disk model classified sequential.
     pub disk_sequential_reads: u64,
     /// Data bytes served by preads.
     pub bytes_read: u64,
@@ -96,10 +84,6 @@ pub struct MeasuredReport {
     pub execution_time_ms: f64,
     /// Interleaved block requests replayed.
     pub total_requests: u64,
-    /// I/O-layer cache eviction/write-back counters.
-    pub io_cache: CacheCounters,
-    /// Storage-layer cache eviction/write-back counters.
-    pub storage_cache: CacheCounters,
     /// Real elapsed wall-clock time of the replay, in milliseconds.
     pub wall_ms: f64,
 }
@@ -116,93 +100,35 @@ impl MeasuredReport {
     }
 }
 
-/// The pread fault injector: fails reads on the simulator's exact
-/// transient schedule and charges the identical retry waits.
-struct FaultInjector {
-    plan: FaultPlan,
-    retries: u64,
-    retry_ms: f64,
+/// The real-bytes backend: one verified pread per simulated disk read.
+/// After the first failure it issues no more reads and keeps the error
+/// for [`replay_observed`] to return.
+struct Files<'a> {
+    store: &'a Store,
+    verify_content: bool,
+    bytes_read: u64,
+    error: Option<StoreError>,
 }
 
-impl FaultInjector {
-    fn new(plan: FaultPlan) -> Result<FaultInjector, StoreError> {
-        plan.validate()
-            .map_err(|e| StoreError::Invalid(e.to_string()))?;
-        if plan.outage_per_mille != 0 || plan.straggler_per_mille != 0 || plan.flush_per_mille != 0
-        {
-            return Err(StoreError::Invalid(
-                "replay fault plans must be transient-only (outage/straggler/flush rates \
-                 reroute requests or drop cache state, which real stripe files cannot replay)"
-                    .into(),
-            ));
+impl BlockBackend for Files<'_> {
+    fn read(&mut self, _node: usize, block: BlockAddr) {
+        if self.error.is_some() {
+            return;
         }
-        Ok(FaultInjector {
-            plan,
-            retries: 0,
-            retry_ms: 0.0,
-        })
-    }
-
-    /// One injected pread attempt for `request`/`attempt`: `Err` with a
-    /// transient `io::Error` when the schedule fires.
-    fn attempt(&self, request: u64, attempt: u32) -> Result<(), std::io::Error> {
-        if self.plan.transient_fires(request, attempt) {
-            Err(std::io::Error::new(
-                std::io::ErrorKind::Interrupted,
-                "injected transient I/O error",
-            ))
+        let data = if self.verify_content {
+            self.store.read_block_verified(block)
         } else {
-            Ok(())
+            self.store.read_block(block)
+        };
+        match data {
+            Ok(data) => self.bytes_read += data.len() as u64,
+            Err(e) => self.error = Some(e),
         }
     }
-}
-
-/// Read `block` through the retry path: injected transient failures are
-/// absorbed exactly like the simulator's `RetryModel` — each failed
-/// attempt charges an exponentially growing timeout — and the read is
-/// served regardless after `max_retries` (transient errors only; media
-/// failures are out of scope here as in the sim). Returns the data and
-/// the extra milliseconds charged.
-fn read_with_retries<O: Observer>(
-    store: &Store,
-    block: BlockAddr,
-    node: usize,
-    request: u64,
-    verify: bool,
-    injector: &mut Option<FaultInjector>,
-    obs: &mut O,
-) -> Result<(Vec<u8>, f64), StoreError> {
-    let mut extra = 0.0;
-    if let Some(inj) = injector {
-        let mut wait = inj.plan.retry.base_timeout_ms;
-        for attempt in 0..inj.plan.retry.max_retries {
-            match inj.attempt(request, attempt) {
-                Ok(()) => break,
-                Err(_) => {
-                    extra += wait;
-                    inj.retries += 1;
-                    inj.retry_ms += wait;
-                    obs.fault(FaultEvent::Retry {
-                        node,
-                        attempt,
-                        wait_ms: wait,
-                    });
-                    wait *= inj.plan.retry.backoff;
-                }
-            }
-        }
-    }
-    let data = if verify {
-        store.read_block_verified(block)?
-    } else {
-        store.read_block(block)?
-    };
-    Ok((data, extra))
 }
 
 /// Replay `traces` against `store` under `topo`, producing measured
-/// per-layer statistics. See the module docs for the mirroring
-/// guarantees.
+/// per-layer statistics. See the module docs.
 pub fn replay(
     store: &Store,
     topo: &Topology,
@@ -212,10 +138,9 @@ pub fn replay(
     replay_observed(store, topo, traces, opts, &mut NullObserver)
 }
 
-/// [`replay`], reporting per-event telemetry (cache lookups, evictions,
-/// disk reads, injected retries) to `obs` — the same event stream the
-/// simulator's observed walk emits, so measured runs flow through the
-/// existing `flo-obs` JSONL machinery unchanged.
+/// [`replay`], reporting the simulator's per-event telemetry (cache
+/// lookups, evictions, KARMA routes, disk reads, injected retries, the
+/// end-of-run occupancy snapshot) to `obs`.
 pub fn replay_observed<O: Observer>(
     store: &Store,
     topo: &Topology,
@@ -223,8 +148,8 @@ pub fn replay_observed<O: Observer>(
     opts: &ReplayOptions,
     obs: &mut O,
 ) -> Result<MeasuredReport, StoreError> {
-    topo.validate()
-        .map_err(|e| StoreError::Invalid(e.to_string()))?;
+    let invalid = |e: flo_sim::SimError| StoreError::Invalid(e.to_string());
+    let mut system = StorageSystem::new(topo.clone(), opts.policy).map_err(invalid)?;
     if store.spec().storage_nodes as usize != topo.storage_nodes {
         return Err(StoreError::Mismatch(format!(
             "store striped over {} nodes, topology has {}",
@@ -232,14 +157,14 @@ pub fn replay_observed<O: Observer>(
             topo.storage_nodes
         )));
     }
-    let karma = match opts.policy {
-        PolicyKind::LruInclusive => None,
+    match opts.policy {
+        PolicyKind::LruInclusive => {}
         PolicyKind::Karma => {
             let hints = opts
                 .karma_hints
                 .as_ref()
                 .ok_or_else(|| StoreError::Invalid("KARMA replay requires karma_hints".into()))?;
-            Some(KarmaAssignment::allocate(hints, topo))
+            system.set_karma_hints(hints);
         }
         other => {
             return Err(StoreError::Invalid(format!(
@@ -247,180 +172,56 @@ pub fn replay_observed<O: Observer>(
                 other.name()
             )))
         }
+    }
+    let mut faults = opts
+        .fault_plan
+        .map(FaultState::new)
+        .transpose()
+        .map_err(invalid)?;
+    if let Some(plan) = faults.as_ref().map(FaultState::plan) {
+        if plan.outage_per_mille != 0 || plan.straggler_per_mille != 0 || plan.flush_per_mille != 0
+        {
+            return Err(StoreError::Invalid(
+                "replay fault plans must be transient-only (outage/straggler/flush rates \
+                 reroute requests or drop cache state, which real stripe files cannot replay)"
+                    .into(),
+            ));
+        }
+    }
+
+    let cfg = RunConfig {
+        compute_ms_per_thread: opts.compute_ms_per_thread,
     };
-    let mut injector = opts.fault_plan.map(FaultInjector::new).transpose()?;
-
-    let costs = CostModel::for_block_elems(topo.block_elems);
-    let disk_model = DiskModel::for_block_elems(topo.block_elems);
-    let mut io_caches: Vec<BlockCache> = (0..topo.io_nodes)
-        .map(|_| BlockCache::new(topo.io_cache_blocks, topo.cache_ways))
-        .collect();
-    let mut sc_caches: Vec<BlockCache> = (0..topo.storage_nodes)
-        .map(|_| BlockCache::new(topo.storage_cache_blocks, topo.cache_ways))
-        .collect();
-    let mut disks: Vec<DiskState> = (0..topo.storage_nodes)
-        .map(|_| DiskState::default())
-        .collect();
-
-    let mut latency = vec![0.0f64; traces.len()];
-    let mut total_requests = 0u64;
-    let mut bytes_read = 0u64;
+    let mut files = Files {
+        store,
+        verify_content: opts.verify_content,
+        bytes_read: 0,
+        error: None,
+    };
     let started = Instant::now();
-
-    for (t, entry) in JitterInterleaver::new(traces, INTERLEAVE_SEED) {
-        // Mirrors `FaultState::on_request`: `total_requests` after the
-        // tick is the 1-based clock, so the current request id is the
-        // pre-tick value.
-        let request = total_requests;
-        total_requests += 1;
-        let block = entry.block;
-        let weight = entry.count;
-        let io_idx = topo.io_node_of_compute(traces[t].compute_node);
-        let sc_idx = topo.storage_node_of_block(block);
-
-        let disk_read = |disks: &mut Vec<DiskState>,
-                         injector: &mut Option<FaultInjector>,
-                         obs: &mut O,
-                         bytes: &mut u64|
-         -> Result<(Vec<u8>, f64), StoreError> {
-            let (ms, sequential) =
-                disks[sc_idx].read_classified(block, &disk_model, topo.storage_nodes);
-            obs.disk_read(sc_idx, sequential, ms);
-            let (data, extra) = read_with_retries(
-                store,
-                block,
-                sc_idx,
-                request,
-                opts.verify_content,
-                injector,
-                obs,
-            )?;
-            *bytes += data.len() as u64;
-            Ok((data, ms + extra))
-        };
-
-        // The per-policy walks below restate `StorageSystem`'s walks
-        // verbatim (lookup order, weights, insertion points) with cache
-        // fills carrying the real buffers.
-        let ms = match &karma {
-            None => {
-                // access_inclusive
-                if io_caches[io_idx].access(block, weight) {
-                    obs.cache_access(Layer::Io, io_idx, true, weight);
-                    costs.io_hit_ms
-                } else {
-                    obs.cache_access(Layer::Io, io_idx, false, weight);
-                    if sc_caches[sc_idx].access(block, 1) {
-                        obs.cache_access(Layer::Storage, sc_idx, true, 1);
-                        let data = sc_caches[sc_idx]
-                            .peek(block)
-                            .expect("storage hit holds a buffer")
-                            .to_vec();
-                        if io_caches[io_idx].fill(block, data, false).is_some() {
-                            obs.eviction(Layer::Io, io_idx);
-                        }
-                        costs.io_hit_ms + costs.storage_hit_ms
-                    } else {
-                        obs.cache_access(Layer::Storage, sc_idx, false, 1);
-                        let (data, disk) =
-                            disk_read(&mut disks, &mut injector, obs, &mut bytes_read)?;
-                        if sc_caches[sc_idx].fill(block, data.clone(), false).is_some() {
-                            obs.eviction(Layer::Storage, sc_idx);
-                        }
-                        if io_caches[io_idx].fill(block, data, false).is_some() {
-                            obs.eviction(Layer::Io, io_idx);
-                        }
-                        costs.io_hit_ms + costs.storage_hit_ms + disk
-                    }
-                }
-            }
-            Some(asg) => match asg.level_for(io_idx, block.file) {
-                KarmaLevel::Io => {
-                    if io_caches[io_idx].access(block, weight) {
-                        obs.cache_access(Layer::Io, io_idx, true, weight);
-                        costs.io_hit_ms
-                    } else {
-                        obs.cache_access(Layer::Io, io_idx, false, weight);
-                        let (data, disk) =
-                            disk_read(&mut disks, &mut injector, obs, &mut bytes_read)?;
-                        if io_caches[io_idx].fill(block, data, false).is_some() {
-                            obs.eviction(Layer::Io, io_idx);
-                        }
-                        costs.io_hit_ms + costs.storage_hit_ms + disk
-                    }
-                }
-                KarmaLevel::Storage => {
-                    // Exclusive: the I/O lookup still counts (and always
-                    // misses — this file is never installed up there).
-                    let io_hit = io_caches[io_idx].access(block, weight);
-                    obs.cache_access(Layer::Io, io_idx, io_hit, weight);
-                    if sc_caches[sc_idx].access(block, 1) {
-                        obs.cache_access(Layer::Storage, sc_idx, true, 1);
-                        costs.io_hit_ms + costs.storage_hit_ms
-                    } else {
-                        obs.cache_access(Layer::Storage, sc_idx, false, 1);
-                        let (data, disk) =
-                            disk_read(&mut disks, &mut injector, obs, &mut bytes_read)?;
-                        if sc_caches[sc_idx].fill(block, data, false).is_some() {
-                            obs.eviction(Layer::Storage, sc_idx);
-                        }
-                        costs.io_hit_ms + costs.storage_hit_ms + disk
-                    }
-                }
-                KarmaLevel::Bypass => {
-                    let io_hit = io_caches[io_idx].access(block, weight);
-                    obs.cache_access(Layer::Io, io_idx, io_hit, weight);
-                    let sc_hit = sc_caches[sc_idx].access(block, 1);
-                    obs.cache_access(Layer::Storage, sc_idx, sc_hit, 1);
-                    let (_, disk) = disk_read(&mut disks, &mut injector, obs, &mut bytes_read)?;
-                    costs.io_hit_ms + costs.storage_hit_ms + disk
-                }
-            },
-        };
-        latency[t] += ms;
+    let report = match &mut faults {
+        Some(f) => drive(&mut system, traces, &cfg, obs, f, &mut files),
+        None => drive(&mut system, traces, &cfg, obs, &mut NoFaults, &mut files),
+    };
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    if let Some(e) = files.error {
+        return Err(e);
     }
-
-    let execution_time_ms = latency
-        .iter()
-        .map(|l| l + opts.compute_ms_per_thread)
-        .fold(0.0f64, f64::max);
-    let mut io = CacheStats::default();
-    let mut io_cache = CacheCounters::default();
-    for c in &io_caches {
-        io.merge(&c.stats());
-        let k = c.counters();
-        io_cache.evictions += k.evictions;
-        io_cache.writebacks += k.writebacks;
-        io_cache.dirty_high_water = io_cache.dirty_high_water.max(k.dirty_high_water);
-    }
-    let mut storage = CacheStats::default();
-    let mut storage_cache = CacheCounters::default();
-    for c in &sc_caches {
-        storage.merge(&c.stats());
-        let k = c.counters();
-        storage_cache.evictions += k.evictions;
-        storage_cache.writebacks += k.writebacks;
-        storage_cache.dirty_high_water = storage_cache.dirty_high_water.max(k.dirty_high_water);
-    }
-    let disk_reads = disks.iter().map(|d| d.reads).sum();
-    let disk_sequential_reads = disks.iter().map(|d| d.sequential_reads).sum();
-    let (retries, retry_ms) = injector
+    let (retries, retry_ms) = faults
         .as_ref()
-        .map_or((0, 0.0), |i| (i.retries, i.retry_ms));
+        .map_or((0, 0.0), |f| (f.stats().retries, f.stats().retry_ms));
     Ok(MeasuredReport {
-        io,
-        storage,
-        disk_reads,
-        disk_sequential_reads,
-        bytes_read,
+        io: report.layers.io,
+        storage: report.layers.storage,
+        disk_reads: report.disk_reads,
+        disk_sequential_reads: report.disk_sequential_reads,
+        bytes_read: files.bytes_read,
         retries,
         retry_ms,
-        thread_latency_ms: latency,
-        execution_time_ms,
-        total_requests,
-        io_cache,
-        storage_cache,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
+        thread_latency_ms: report.thread_latency_ms,
+        execution_time_ms: report.execution_time_ms,
+        total_requests: report.total_requests,
+        wall_ms,
     })
 }
 
@@ -429,7 +230,8 @@ mod tests {
     use super::*;
     use crate::format::{FileBlocks, StoreSpec};
     use crate::materialize::{materialize, MaterializeOptions};
-    use flo_sim::{simulate, simulate_faulted, FaultState, RunConfig, StorageSystem};
+    use flo_obs::{Layer, MetricsObserver};
+    use flo_sim::{simulate, simulate_faulted, simulate_observed};
     use std::fs;
     use std::path::PathBuf;
 
@@ -500,7 +302,8 @@ mod tests {
             verify_content: true,
             ..ReplayOptions::default()
         };
-        let measured = replay(&store, &topo, &traces, &opts).unwrap();
+        let mut obs = MetricsObserver::new();
+        let measured = replay_observed(&store, &topo, &traces, &opts, &mut obs).unwrap();
 
         let mut sys = StorageSystem::new(topo.clone(), PolicyKind::LruInclusive).unwrap();
         let sim = simulate(&mut sys, &traces, &RunConfig::default());
@@ -518,7 +321,10 @@ mod tests {
             assert!((m - s).abs() < 1e-9, "latency drift: {m} vs {s}");
         }
         assert!(measured.bytes_read > 0);
-        assert!(measured.io_cache.evictions > 0, "workload must evict");
+        assert!(
+            obs.layer_totals(Layer::Io).evictions > 0,
+            "workload must evict"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -547,6 +353,48 @@ mod tests {
         assert_eq!(measured.io, sim.layers.io);
         assert_eq!(measured.storage, sim.layers.storage);
         assert_eq!(measured.disk_reads, sim.disk_reads);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_observes_the_simulated_event_stream() {
+        // Every event the simulator reports — KARMA routes and the
+        // end-of-run occupancy snapshot included — must reach a replay's
+        // observer too. (The `store` section appears only once a caller
+        // sets store counters, so neither side carries one here.)
+        let topo = topo();
+        let files = [(0u32, 12u64), (1, 60), (2, 400)];
+        let traces = traces(&topo, &files);
+        let hints = KarmaHints::from_triples(&[(0, 12, 4000), (1, 60, 900), (2, 400, 300)]);
+        let dir = tmpdir("observed");
+        materialize(&dir, &spec(&files), &MaterializeOptions::default()).unwrap();
+        let store = Store::open(&dir).unwrap();
+        for (policy, karma_hints) in [
+            (PolicyKind::LruInclusive, None),
+            (PolicyKind::Karma, Some(hints)),
+        ] {
+            let opts = ReplayOptions {
+                policy,
+                karma_hints: karma_hints.clone(),
+                verify_content: true,
+                ..ReplayOptions::default()
+            };
+            let mut replayed = MetricsObserver::new();
+            replay_observed(&store, &topo, &traces, &opts, &mut replayed).unwrap();
+
+            let mut sys = StorageSystem::new(topo.clone(), policy).unwrap();
+            if let Some(h) = &karma_hints {
+                sys.set_karma_hints(h);
+            }
+            let mut simulated = MetricsObserver::new();
+            simulate_observed(&mut sys, &traces, &RunConfig::default(), &mut simulated);
+            assert_eq!(
+                replayed.to_json(),
+                simulated.to_json(),
+                "{} event streams differ",
+                policy.name()
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -601,6 +449,21 @@ mod tests {
         assert_eq!(a.io, b.io);
         assert_eq!(a.disk_reads, b.disk_reads);
         assert_eq!(a.thread_latency_ms, b.thread_latency_ms);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_pread_fails_the_replay() {
+        let topo = topo();
+        let dir = tmpdir("missing");
+        // The traces read file 1, which the store does not hold.
+        materialize(&dir, &spec(&[(0, 40)]), &MaterializeOptions::default()).unwrap();
+        let store = Store::open(&dir).unwrap();
+        let t = traces(&topo, &[(0, 40), (1, 25)]);
+        match replay(&store, &topo, &t, &ReplayOptions::default()) {
+            Err(StoreError::Invalid(why)) => assert!(why.contains("block map"), "{why}"),
+            other => panic!("expected the pread error, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
