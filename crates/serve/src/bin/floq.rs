@@ -25,6 +25,12 @@
 //! times with bounded exponential backoff (seeded jitter; `FLO_SEED`
 //! replays the exact delays) before giving up.
 //!
+//! A single daemon is a one-member cluster: `floq` always talks through
+//! a [`ClusterClient`], so the busy-retry and reconnect rules, and the
+//! `FLO_CONNECT_TIMEOUT_MS` bound on a TCP connect, are the same with or
+//! without `--cluster`. An unreachable daemon is the typed `node-down`
+//! error.
+//!
 //! `--cluster FILE` (or `FLO_CLUSTER=FILE` when no explicit address is
 //! given) turns on cluster mode: work requests route to the member the
 //! consistent-hash ring says owns their work key, while `ping` / `stats`
@@ -34,9 +40,9 @@
 //! owns, or as an inline per-node `error` entry in fan-out output.
 
 use flo_core::TargetLayers;
-use flo_serve::client::{retries_from_env, DEFAULT_WINDOW};
+use flo_serve::client::{decode_envelope_bytes, DEFAULT_WINDOW};
 use flo_serve::protocol::{parse_scheme, FaultSpec, Request, ServeError};
-use flo_serve::{Client, ClusterClient, Listen, Membership, Service};
+use flo_serve::{ClusterClient, Listen, Member, Membership, Service};
 use flo_sim::{PolicyKind, SweepPoint};
 use flo_workloads::Scale;
 
@@ -348,37 +354,15 @@ fn fan_out_cluster(
 fn main() {
     let args = parse_args();
     let req = build_request(&args);
-    if let Some(membership) = cluster_membership(&args) {
-        let mut cc = ClusterClient::new(membership);
-        let results = match req {
-            Request::Telemetry => {
-                let (out, failed) = cc.telemetry_snapshot(args.deadline_ms);
-                if args.prometheus {
-                    let merged = out.get("merged").unwrap_or(&out);
-                    print!("{}", flo_obs::render_prometheus(merged));
-                } else {
-                    println!("{out}");
-                }
-                std::process::exit(i32::from(failed));
-            }
-            Request::Ping | Request::Stats | Request::Shutdown => {
-                let (out, failed) = fan_out_cluster(&mut cc, &req, args.deadline_ms);
-                println!("{out}");
-                std::process::exit(i32::from(failed));
-            }
-            _ if args.pipeline > 1 => {
-                let reqs: Vec<Request> = (0..args.pipeline).map(|_| req.clone()).collect();
-                cc.call_many(&reqs, args.deadline_ms, DEFAULT_WINDOW)
-            }
-            _ => vec![cc.call(&req, args.deadline_ms)],
-        };
-        finish(results, args.prometheus);
-    }
-    let results: Vec<Result<flo_json::Json, ServeError>> = if args.direct {
+    let cluster = cluster_membership(&args);
+    if cluster.is_none() && args.direct {
         // In-process: the served result must be byte-identical to this.
         let service = Service::from_env();
-        (0..args.pipeline).map(|_| service.execute(&req)).collect()
-    } else {
+        let results = (0..args.pipeline).map(|_| service.execute(&req)).collect();
+        finish(results, args.prometheus);
+    }
+    let fan_out = cluster.is_some();
+    let membership = cluster.unwrap_or_else(|| {
         let listen = args
             .listen
             .clone()
@@ -386,23 +370,43 @@ fn main() {
                 Ok(s) if !s.trim().is_empty() => Listen::parse(s.trim()),
                 _ => Listen::default_socket(),
             });
-        match Client::connect(&listen) {
-            Ok(mut client) => {
-                if args.pipeline > 1 {
-                    let reqs: Vec<Request> = (0..args.pipeline).map(|_| req.clone()).collect();
-                    match client.call_pipelined(&reqs, args.deadline_ms) {
-                        Ok(rs) => rs,
-                        Err(e) => vec![Err(e)],
-                    }
-                } else {
-                    vec![client.call_retry(&req, args.deadline_ms, retries_from_env())]
-                }
-            }
-            Err(e) => vec![Err(ServeError::Internal(format!(
-                "cannot connect to {}: {e}",
-                listen.describe()
-            )))],
+        Membership {
+            members: vec![Member {
+                id: listen.describe(),
+                listen,
+            }],
         }
+    });
+    let mut cc = ClusterClient::new(membership);
+    let results = if cc.node_of(&req).is_some() {
+        if args.pipeline > 1 {
+            let reqs = vec![req.clone(); args.pipeline];
+            cc.call_many(&reqs, args.deadline_ms, DEFAULT_WINDOW)
+                .into_iter()
+                .map(|r| r.and_then(|bytes| decode_envelope_bytes(&bytes)))
+                .collect()
+        } else {
+            vec![cc.call(&req, args.deadline_ms)]
+        }
+    } else if !fan_out {
+        // A control request to the one daemon prints its bare result,
+        // not the cluster fan-out shape.
+        (0..args.pipeline)
+            .map(|_| cc.call_on(0, &req, args.deadline_ms, None))
+            .collect()
+    } else if let Request::Telemetry = req {
+        let (out, failed) = cc.telemetry_snapshot(args.deadline_ms);
+        if args.prometheus {
+            let merged = out.get("merged").unwrap_or(&out);
+            print!("{}", flo_obs::render_prometheus(merged));
+        } else {
+            println!("{out}");
+        }
+        std::process::exit(i32::from(failed));
+    } else {
+        let (out, failed) = fan_out_cluster(&mut cc, &req, args.deadline_ms);
+        println!("{out}");
+        std::process::exit(i32::from(failed));
     };
     finish(results, args.prometheus);
 }

@@ -356,7 +356,8 @@ fn run_cluster_phase(
     for m in &members {
         Client::connect_retry(&m.listen, Duration::from_secs(10)).expect("node did not come up");
     }
-    let mut cc = ClusterClient::with_retries(Membership { members }, 0, 1);
+    let mut cc =
+        ClusterClient::with_resilience(Membership { members }, 0, 1, Resilience::from_env());
     let mut identical = true;
     let mut check = |answers: Vec<Result<Vec<u8>, flo_serve::ServeError>>| {
         for (i, a) in answers.into_iter().enumerate() {
@@ -373,14 +374,14 @@ fn run_cluster_phase(
             }
         }
     };
-    check(cc.call_many_raw(keys, None, DEFAULT_WINDOW));
+    check(cc.call_many(keys, None, DEFAULT_WINDOW));
     // Timed rounds collect raw envelope frames; decoding, rendering and
     // comparison all run after the clock stops — verification is a
     // bench-harness cost, not served throughput.
     let mut collected = Vec::with_capacity(rounds);
     let started = Instant::now();
     for _ in 0..rounds {
-        collected.push(cc.call_many_raw(keys, None, DEFAULT_WINDOW));
+        collected.push(cc.call_many(keys, None, DEFAULT_WINDOW));
     }
     let elapsed = started.elapsed().as_secs_f64();
     for answers in collected {
@@ -409,7 +410,7 @@ fn run_cluster_phase(
     // One shutdown drains every node: in-process servers share the
     // global drain flag (which is also why each phase starts with
     // `signal::reset`).
-    let _ = cc.call_on(0, &Request::Shutdown, None);
+    let _ = cc.call_on(0, &Request::Shutdown, None, None);
     drop(cc);
     for s in servers {
         s.join()
@@ -599,7 +600,7 @@ fn chaos_rounds(
     let started = Instant::now();
     let mut collected = Vec::with_capacity(rounds);
     for _ in 0..rounds {
-        collected.push(cc.call_many_raw(keys, None, DEFAULT_WINDOW));
+        collected.push(cc.call_many(keys, None, DEFAULT_WINDOW));
     }
     (started.elapsed().as_secs_f64(), collected)
 }
@@ -638,7 +639,7 @@ fn chaos_await_closed(cc: &mut ClusterClient, node: usize, keys: &[Request]) -> 
         if cc.node_health(node).breaker.state() == CircuitState::Closed {
             return true;
         }
-        let _ = cc.call_many_raw(keys, None, DEFAULT_WINDOW);
+        let _ = cc.call_many(keys, None, DEFAULT_WINDOW);
         std::thread::sleep(Duration::from_millis(50));
     }
     false
@@ -718,7 +719,7 @@ fn run_chaos_bench(opts: &Opts, n: usize) {
     // still records the restarted node's cold re-warm separately.
     for node in 0..n {
         for (i, req) in keys.iter().enumerate() {
-            match cc.call_on(node, req, None) {
+            match cc.call_on(node, req, None, None) {
                 Ok(j) if j.to_string() == expected[i] => {}
                 Ok(_) => {
                     eprintln!("servebench: FAIL — pre-warm response {i} on n{node} diverges");

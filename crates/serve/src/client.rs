@@ -1,31 +1,29 @@
-//! The blocking client `floq` (and the test suites) use to talk to
-//! `flod`: connect, frame requests, read response envelopes.
+//! The blocking client `floq`, the benches and the test suites use to
+//! talk to `flod`, in two layers.
 //!
-//! Two calling styles:
+//! [`Client`] is one connection and nothing else: frame requests
+//! ([`Client::send`] / [`Client::send_traced`]), read response frames
+//! ([`Client::recv_raw`], or [`Client::try_recv_raw`] under a read
+//! timeout), and [`Client::call`] for one request and its matching
+//! answer. It never retries and never reconnects.
 //!
-//! * [`Client::call`] — one request, wait for its answer (the id must
-//!   match: a lone caller's responses cannot be reordered);
-//! * [`Client::send`] + [`Client::recv`] — pipelining. Queue several
-//!   requests without waiting, then collect responses as the server
-//!   answers them *in completion order*; each response is matched back
-//!   to its request by id.
-//!
-//! [`Client::call_retry`] layers bounded exponential backoff over
-//! `call` for typed `busy` responses (`FLO_RETRIES`), with seeded
-//! jitter so a fleet of clients bounced by one busy node does not retry
-//! in lockstep.
-//!
-//! [`ClusterClient`] is the cluster-aware layer: it owns one lazily
-//! connected [`Client`] per member, routes every work request to the
-//! node the [`crate::cluster::HashRing`] says owns its work key,
-//! pipelines batches per node over the PR-6 path, and turns an
-//! unreachable node into the typed [`ServeError::NodeDown`] error (the
-//! other nodes keep answering — ownership never silently moves).
+//! [`ClusterClient`] is where every policy lives: it owns one lazily
+//! connected [`Client`] per member and has three call entry points —
+//! [`ClusterClient::call`] routes a work request to the node the
+//! [`crate::cluster::HashRing`] says owns its work key (with breaker,
+//! retry budget, ring-successor failover and hedging),
+//! [`ClusterClient::call_on`] pins a request to one node, and
+//! [`ClusterClient::call_many`] pipelines a routed batch per node.
+//! Both single-request paths share one busy-retry loop (bounded
+//! exponential backoff with seeded jitter, `FLO_RETRIES`) and one rule
+//! for a pooled connection found dead: reconnect once, then report the
+//! typed [`ServeError::NodeDown`]. A single daemon is a one-member
+//! cluster.
 
 use crate::cluster::{stable_hash64, HashRing, Member, Membership};
 use crate::protocol::{
-    read_frame, read_frame_bytes, response_id, work_key, write_frame, FrameError, Request,
-    ServeError, TRACE_MASK,
+    read_frame_bytes, response_id, work_key, write_frame, FrameError, Request, ServeError,
+    TRACE_MASK,
 };
 use crate::resilience::{Breaker, CircuitState, HedgePolicy, Resilience, RetryBudget};
 use crate::server::Listen;
@@ -125,7 +123,7 @@ pub fn decode_envelope_bytes(bytes: &[u8]) -> Result<Json, ServeError> {
     decode_response(&json)
 }
 
-/// The base backoff schedule for [`Client::call_retry`]: `retries`
+/// The base backoff schedule for the busy-retry loop: `retries`
 /// delays, doubling from 25 ms and capped at 800 ms so a deep backoff
 /// cannot stall a CLI for seconds. These are the *ceilings* the jittered
 /// schedule draws under — see [`retry_schedule`].
@@ -181,7 +179,7 @@ pub fn jitter_seed_from_env() -> u64 {
 
 /// `FLO_RETRIES` (default 0 — a busy server stays a visible, typed
 /// error unless the caller opts into waiting it out).
-pub fn retries_from_env() -> u32 {
+fn retries_from_env() -> u32 {
     std::env::var("FLO_RETRIES")
         .ok()
         .and_then(|s| s.trim().parse::<u32>().ok())
@@ -239,7 +237,7 @@ impl Client {
     /// The next trace id from this client's stream (53-bit, see
     /// [`TRACE_MASK`]). Callers that need one trace across several wire
     /// attempts (retries, failover replays) draw it once and pass it to
-    /// the `_traced` variants.
+    /// [`Client::send_traced`].
     pub fn gen_trace(&mut self) -> u64 {
         let t = self.next_trace;
         self.next_trace = self.next_trace.wrapping_add(1) & TRACE_MASK;
@@ -261,7 +259,7 @@ impl Client {
 
     /// Queue one request without waiting for its answer, stamped with a
     /// fresh trace id from this client's stream. Returns the request id;
-    /// collect the response later with [`Client::recv`].
+    /// collect the response later with [`Client::recv_raw`].
     pub fn send(&mut self, req: &Request, deadline_ms: Option<u64>) -> Result<u64, ServeError> {
         let trace = self.gen_trace();
         self.send_traced(req, deadline_ms, Some(trace))
@@ -288,36 +286,16 @@ impl Client {
         Ok(id)
     }
 
-    /// Read the next response envelope off the wire, whatever request it
-    /// answers. Returns `(id, result-or-error)` — the server answers
-    /// pipelined requests in *completion* order, not send order.
-    pub fn recv(&mut self) -> Result<(u64, Result<Json, ServeError>), ServeError> {
-        let resp = read_frame(&mut self.conn, &|| false).map_err(|e| match e {
-            FrameError::Closed => ServeError::Protocol("server closed the connection".into()),
-            other => ServeError::Protocol(other.to_string()),
-        })?;
-        let id = resp
-            .get("id")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ServeError::Protocol("response lacks `id`".into()))?;
-        Ok((id, decode_response(&resp)))
-    }
-
-    /// Read the next response as raw envelope bytes plus its id — the
-    /// deferred-decode path. The id is scanned from the daemon's fixed
-    /// envelope prefix without a parse ([`response_id`]); a full parse
-    /// is the fallback for an unfamiliar prefix. Bulk drivers collect
-    /// frames at wire speed and run [`decode_envelope_bytes`] outside
-    /// their hot loop.
+    /// Read the next response as raw envelope bytes plus its id, whatever
+    /// request it answers — the server answers pipelined requests in
+    /// *completion* order, not send order. The id is scanned from the
+    /// daemon's fixed envelope prefix without a parse ([`response_id`]);
+    /// a full parse is the fallback for an unfamiliar prefix. Bulk
+    /// callers collect frames at wire speed and run
+    /// [`decode_envelope_bytes`] outside their hot loop.
     pub fn recv_raw(&mut self) -> Result<(u64, Vec<u8>), ServeError> {
-        let bytes = read_frame_bytes(&mut self.conn, &|| false).map_err(|e| match e {
-            FrameError::Closed => ServeError::Protocol("server closed the connection".into()),
-            other => ServeError::Protocol(other.to_string()),
-        })?;
-        if let Some(id) = response_id(&bytes) {
-            return Ok((id, bytes));
-        }
-        Self::slow_path_id(bytes)
+        self.try_recv_raw()?
+            .ok_or_else(|| ServeError::Protocol("read timed out before a response".into()))
     }
 
     /// [`Client::recv_raw`] that treats a read timeout before any byte as
@@ -350,113 +328,26 @@ impl Client {
         Ok((id, bytes))
     }
 
-    /// Send one request and wait for its response envelope. Returns the
-    /// `result` payload, or the server's typed error.
+    /// Send one request and wait for its answer (the id must match: a
+    /// lone caller's responses cannot be reordered). Returns the
+    /// `result` payload, or the server's typed error — `busy` included;
+    /// retrying is [`ClusterClient`]'s job.
     pub fn call(&mut self, req: &Request, deadline_ms: Option<u64>) -> Result<Json, ServeError> {
-        let trace = self.gen_trace();
-        self.call_traced(req, deadline_ms, Some(trace))
+        let id = self.send(req, deadline_ms)?;
+        let (got, bytes) = self.recv_raw()?;
+        matched(got, id, bytes)
     }
+}
 
-    /// [`Client::call`] with an explicit trace id.
-    pub fn call_traced(
-        &mut self,
-        req: &Request,
-        deadline_ms: Option<u64>,
-        trace: Option<u64>,
-    ) -> Result<Json, ServeError> {
-        let id = self.send_traced(req, deadline_ms, trace)?;
-        let (got, payload) = self.recv()?;
-        if got != id {
-            return Err(ServeError::Protocol(format!(
-                "response id {got} does not match request id {id}"
-            )));
-        }
-        payload
+/// Decode the response to request `want`, or a `Protocol` error when
+/// the frame answers some other request.
+fn matched(got: u64, want: u64, bytes: Vec<u8>) -> Result<Json, ServeError> {
+    if got != want {
+        return Err(ServeError::Protocol(format!(
+            "response id {got} does not match request id {want}"
+        )));
     }
-
-    /// [`Client::call`] with bounded, jittered exponential backoff on
-    /// `busy`: up to `retries` re-sends spaced by
-    /// [`retry_schedule`]`(retries, `[`jitter_seed_from_env`]`())`.
-    /// Every other error — including `deadline` and `shutting-down` —
-    /// surfaces immediately; only transient queue pressure is worth
-    /// waiting out.
-    pub fn call_retry(
-        &mut self,
-        req: &Request,
-        deadline_ms: Option<u64>,
-        retries: u32,
-    ) -> Result<Json, ServeError> {
-        self.call_retry_scheduled(
-            req,
-            deadline_ms,
-            &retry_schedule(retries, jitter_seed_from_env()),
-        )
-    }
-
-    /// [`Client::call_retry`] with an explicit delay schedule (the
-    /// cluster layer derives per-node seeds; tests pin exact delays).
-    pub fn call_retry_scheduled(
-        &mut self,
-        req: &Request,
-        deadline_ms: Option<u64>,
-        delays: &[Duration],
-    ) -> Result<Json, ServeError> {
-        let trace = self.gen_trace();
-        self.call_retry_scheduled_traced(req, deadline_ms, delays, Some(trace))
-    }
-
-    /// [`Client::call_retry_scheduled`] with an explicit trace id. One
-    /// trace covers the whole retry loop: every `busy` re-send carries
-    /// the same id, so telemetry shows one logical request with N
-    /// attempts, not N unrelated requests.
-    pub fn call_retry_scheduled_traced(
-        &mut self,
-        req: &Request,
-        deadline_ms: Option<u64>,
-        delays: &[Duration],
-        trace: Option<u64>,
-    ) -> Result<Json, ServeError> {
-        let mut last = self.call_traced(req, deadline_ms, trace);
-        for delay in delays {
-            match last {
-                Err(ServeError::Busy) => {
-                    std::thread::sleep(*delay);
-                    last = self.call_traced(req, deadline_ms, trace);
-                }
-                other => return other,
-            }
-        }
-        last
-    }
-
-    /// Pipeline a whole batch on this connection: send everything, then
-    /// collect every response and return the payloads in *request*
-    /// order (the wire may answer in any completion order).
-    pub fn call_pipelined(
-        &mut self,
-        reqs: &[Request],
-        deadline_ms: Option<u64>,
-    ) -> Result<Vec<Result<Json, ServeError>>, ServeError> {
-        let mut ids = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            ids.push(self.send(req, deadline_ms)?);
-        }
-        let mut by_id: Vec<(u64, Result<Json, ServeError>)> = Vec::with_capacity(reqs.len());
-        for _ in reqs {
-            by_id.push(self.recv()?);
-        }
-        ids.iter()
-            .map(|id| {
-                by_id
-                    .iter()
-                    .position(|(got, _)| got == id)
-                    .map(|i| by_id[i].1.clone())
-                    .ok_or_else(|| {
-                        ServeError::Protocol(format!("no response for pipelined request id {id}"))
-                    })
-            })
-            .collect()
-    }
+    decode_envelope_bytes(&bytes)
 }
 
 /// Per-node send window for [`ClusterClient::call_many`]: at most this
@@ -471,6 +362,14 @@ const WORK_KINDS: [&str; 3] = ["layout", "simulate", "sweep"];
 
 fn kind_index(kind: &str) -> Option<usize> {
     WORK_KINDS.iter().position(|&k| k == kind)
+}
+
+/// The error for routing a control request, which has no work key.
+fn no_work_key(req: &Request) -> ServeError {
+    ServeError::BadRequest(format!(
+        "{} has no work key — control requests fan out to every node",
+        req.kind()
+    ))
 }
 
 /// Errors that mean "this node did not serve the request and a
@@ -564,13 +463,12 @@ impl ClusterClient {
     /// `FLO_SEED`, `FLO_FALLBACKS`, `FLO_RETRY_BUDGET`, `FLO_HEDGE`,
     /// `FLO_CONNECT_TIMEOUT_MS`).
     pub fn new(membership: Membership) -> ClusterClient {
-        ClusterClient::with_retries(membership, retries_from_env(), jitter_seed_from_env())
-    }
-
-    /// A client with explicit retry count and jitter seed (resilience
-    /// settings still come from the environment).
-    pub fn with_retries(membership: Membership, retries: u32, jitter_seed: u64) -> ClusterClient {
-        ClusterClient::with_resilience(membership, retries, jitter_seed, Resilience::from_env())
+        ClusterClient::with_resilience(
+            membership,
+            retries_from_env(),
+            jitter_seed_from_env(),
+            Resilience::from_env(),
+        )
     }
 
     /// A client with everything explicit — chaos harnesses and tests
@@ -618,7 +516,7 @@ impl ClusterClient {
     /// per logical request and reused across retries *and* the failover
     /// reconnect, so a request that survives a node restart keeps its
     /// identity in the replacement connection's telemetry.
-    pub fn gen_trace(&mut self) -> u64 {
+    fn gen_trace(&mut self) -> u64 {
         let t = self.next_trace;
         self.next_trace = self.next_trace.wrapping_add(1) & TRACE_MASK;
         t
@@ -690,26 +588,12 @@ impl ClusterClient {
     /// unreachable.
     pub fn call(&mut self, req: &Request, deadline_ms: Option<u64>) -> Result<Json, ServeError> {
         let Some(chain) = self.chain_of(req) else {
-            return Err(ServeError::BadRequest(format!(
-                "{} has no work key — control requests fan out to every node",
-                req.kind()
-            )));
+            return Err(no_work_key(req));
         };
+        // One trace covers every attempt across every node the chain
+        // visits, so a request that fails over reads as one logical
+        // request in each node's telemetry.
         let trace = self.gen_trace();
-        self.call_routed_traced(&chain, req, deadline_ms, Some(trace))
-    }
-
-    /// [`ClusterClient::call`] with an explicit trace id: one trace
-    /// covers every attempt across every node the chain visits, so a
-    /// request that fails over reads as one logical request in each
-    /// node's telemetry.
-    fn call_routed_traced(
-        &mut self,
-        chain: &[usize],
-        req: &Request,
-        deadline_ms: Option<u64>,
-        trace: Option<u64>,
-    ) -> Result<Json, ServeError> {
         let t0 = Instant::now();
         let mut last: Option<ServeError> = None;
         let mut attempted = 0usize;
@@ -722,23 +606,16 @@ impl ClusterClient {
                 break;
             }
             attempted += 1;
-            let hedge_node = self.hedge_candidate(chain, pos);
-            match self.attempt_on(node, hedge_node, req, deadline_ms, trace) {
-                Ok((json, via)) => {
-                    self.health[via].breaker.on_success();
-                    self.budget.deposit();
-                    self.observe_kind_latency(req, t0);
-                    return Ok(json);
-                }
+            let hedge_node = self.hedge_candidate(&chain, pos);
+            let result = self.attempt_on(node, hedge_node, req, deadline_ms, trace);
+            match self.book(node, req, t0, result) {
                 Err(e) if transport_error(&e) => {
-                    self.health[node].breaker.on_failure();
-                    self.conns[node] = None;
                     if pos + 1 < chain.len() {
                         self.health[node].failovers += 1;
                     }
                     last = Some(e);
                 }
-                Err(e) => return Err(e),
+                answer => return answer,
             }
         }
         match last {
@@ -748,22 +625,38 @@ impl ClusterClient {
                 // (a full blip). Force one attempt on the owner so the
                 // cluster can be rediscovered instead of returning
                 // NodeDown forever.
-                let owner = chain[0];
-                match self.attempt_on(owner, None, req, deadline_ms, trace) {
-                    Ok((json, _)) => {
-                        self.health[owner].breaker.on_success();
-                        self.budget.deposit();
-                        self.observe_kind_latency(req, t0);
-                        Ok(json)
-                    }
-                    Err(e) => {
-                        if transport_error(&e) {
-                            self.health[owner].breaker.on_failure();
-                            self.conns[owner] = None;
-                        }
-                        Err(e)
-                    }
+                let result = self.attempt_on(chain[0], None, req, deadline_ms, trace);
+                self.book(chain[0], req, t0, result)
+            }
+        }
+    }
+
+    /// Record a routed attempt on `node` that started at `t0`: success
+    /// closes the answering node's breaker, refills the retry budget and
+    /// feeds the kind's latency histogram; a transport error counts
+    /// against `node`'s breaker and drops its connection.
+    fn book(
+        &mut self,
+        node: usize,
+        req: &Request,
+        t0: Instant,
+        result: Result<(Json, usize), ServeError>,
+    ) -> Result<Json, ServeError> {
+        match result {
+            Ok((json, via)) => {
+                self.health[via].breaker.on_success();
+                self.budget.deposit();
+                if let Some(ki) = kind_index(req.kind()) {
+                    self.kind_lat[ki].record(t0.elapsed().as_micros() as u64);
                 }
+                Ok(json)
+            }
+            Err(e) => {
+                if transport_error(&e) {
+                    self.health[node].breaker.on_failure();
+                    self.conns[node] = None;
+                }
+                Err(e)
             }
         }
     }
@@ -783,61 +676,42 @@ impl ClusterClient {
             .copied()
     }
 
-    /// Send one request to a specific node, reconnecting once if the
-    /// cached connection turns out to be dead (a restarted or crashed
-    /// node): work requests are deterministic and response-cached, so a
-    /// replay after a torn connection cannot change the answer.
+    /// Send one request to `node`, bypassing the ring: no breaker,
+    /// retry budget, failover or hedge — only the busy-retry loop (the
+    /// client's `retries` re-sends on `busy`) and the reconnect-once rule
+    /// that [`ClusterClient::call`] also runs. Work requests are
+    /// deterministic and response-cached, so a replay after a torn
+    /// connection cannot change the answer. `trace` pins the trace id
+    /// sent on every wire attempt (the one that lets a reconnect replay
+    /// be recognized in a restarted node's telemetry ring); `None` draws
+    /// the next id from this client's stream.
     pub fn call_on(
-        &mut self,
-        node: usize,
-        req: &Request,
-        deadline_ms: Option<u64>,
-    ) -> Result<Json, ServeError> {
-        let trace = self.gen_trace();
-        self.call_on_traced(node, req, deadline_ms, Some(trace))
-    }
-
-    /// [`ClusterClient::call_on`] with an explicit trace id. The same
-    /// trace is sent on both attempts — the one drawn here survives the
-    /// reconnect, which is what lets a failover replay be recognized in
-    /// the restarted node's telemetry ring as the same logical request.
-    pub fn call_on_traced(
         &mut self,
         node: usize,
         req: &Request,
         deadline_ms: Option<u64>,
         trace: Option<u64>,
     ) -> Result<Json, ServeError> {
-        let had_conn = self.conns[node].is_some();
-        let delays = retry_schedule(
-            self.retries,
-            self.jitter_seed ^ stable_hash64(self.membership.members[node].id.as_bytes()),
-        );
-        let first = self
-            .conn(node)?
-            .call_retry_scheduled_traced(req, deadline_ms, &delays, trace);
-        match first {
-            Err(ServeError::Protocol(_)) if had_conn => {
-                // The pooled connection may have died since we last used
-                // it; one reconnect decides between a blip and NodeDown.
-                self.conns[node] = None;
-                self.conn(node)?
-                    .call_retry_scheduled_traced(req, deadline_ms, &delays, trace)
-            }
-            other => other,
-        }
+        let trace = trace.unwrap_or_else(|| self.gen_trace());
+        self.attempt_on(node, None, req, deadline_ms, trace)
+            .map(|(json, _)| json)
     }
 
-    /// One failover-chain attempt against `node`, with busy-retry and
-    /// (when configured) a hedge raced on `hedge_node`. Returns the
-    /// payload plus the node that actually answered.
+    /// One request against `node` — the only busy-retry loop: up to
+    /// `retries` re-sends on typed `busy`, spaced by the node's jittered
+    /// [`retry_schedule`] (seeded by the client seed and the node id) and
+    /// all carrying the same trace, with (when configured) a hedge raced
+    /// on `hedge_node`. Every other error — including `deadline` and
+    /// `shutting-down` — surfaces immediately; only transient queue
+    /// pressure is worth waiting out. Returns the payload plus the node
+    /// that actually answered.
     fn attempt_on(
         &mut self,
         node: usize,
         hedge_node: Option<usize>,
         req: &Request,
         deadline_ms: Option<u64>,
-        trace: Option<u64>,
+        trace: u64,
     ) -> Result<(Json, usize), ServeError> {
         let delays = retry_schedule(
             self.retries,
@@ -856,16 +730,16 @@ impl ClusterClient {
         last
     }
 
-    /// One wire attempt, reconnecting once when a pooled connection
-    /// turns out to be dead (same blip-vs-down rule as
-    /// [`ClusterClient::call_on_traced`]).
+    /// One wire attempt — the only reconnect rule: when the pooled
+    /// connection turns out to be dead (a restarted or crashed node),
+    /// reconnect once; a second failure is the node's, not the pool's.
     fn attempt_once(
         &mut self,
         node: usize,
         hedge_node: Option<usize>,
         req: &Request,
         deadline_ms: Option<u64>,
-        trace: Option<u64>,
+        trace: u64,
     ) -> Result<(Json, usize), ServeError> {
         let had_conn = self.conns[node].is_some();
         let first = self.attempt_wire(node, hedge_node, req, deadline_ms, trace);
@@ -886,47 +760,35 @@ impl ClusterClient {
         hedge_node: Option<usize>,
         req: &Request,
         deadline_ms: Option<u64>,
-        trace: Option<u64>,
+        trace: u64,
     ) -> Result<(Json, usize), ServeError> {
-        let hedge_after = match hedge_node {
-            Some(_) => self.hedge_delay_for(req),
+        let hedge = match hedge_node {
+            Some(h) => self.hedge_delay_for(req).map(|delay| (h, delay)),
             None => None,
         };
-        let (Some(delay), Some(h)) = (hedge_after, hedge_node) else {
-            return self
-                .conn(node)?
-                .call_traced(req, deadline_ms, trace)
-                .map(|j| (j, node));
-        };
-        let id = self.conn(node)?.send_traced(req, deadline_ms, trace)?;
+        let id = self
+            .conn(node)?
+            .send_traced(req, deadline_ms, Some(trace))?;
         let c = self.conns[node].as_mut().expect("connection just ensured");
-        if c.set_read_timeout(Some(delay)).is_err() {
-            // Cannot arm the timer: fall back to a plain blocking wait.
-            let (got, bytes) = c.recv_raw()?;
-            return Self::matched(got, id, bytes).map(|j| (j, node));
-        }
+        // Without a hedge (or a timer to arm for one), wait on the primary.
+        let h = match hedge {
+            Some((h, delay)) if c.set_read_timeout(Some(delay)).is_ok() => h,
+            _ => {
+                let (got, bytes) = c.recv_raw()?;
+                return matched(got, id, bytes).map(|j| (j, node));
+            }
+        };
         match c.try_recv_raw() {
             Ok(Some((got, bytes))) => {
                 let _ = c.set_read_timeout(None);
-                Self::matched(got, id, bytes).map(|j| (j, node))
+                matched(got, id, bytes).map(|j| (j, node))
             }
             Ok(None) => self.race_hedge(node, id, h, req, deadline_ms, trace),
             Err(e) => {
-                if let Some(c) = self.conns[node].as_mut() {
-                    let _ = c.set_read_timeout(None);
-                }
+                let _ = c.set_read_timeout(None);
                 Err(e)
             }
         }
-    }
-
-    fn matched(got: u64, want: u64, bytes: Vec<u8>) -> Result<Json, ServeError> {
-        if got != want {
-            return Err(ServeError::Protocol(format!(
-                "response id {got} does not match request id {want}"
-            )));
-        }
-        decode_envelope_bytes(&bytes)
     }
 
     /// The primary on `node` is slow past the hedge delay: race a
@@ -941,7 +803,7 @@ impl ClusterClient {
         h: usize,
         req: &Request,
         deadline_ms: Option<u64>,
-        trace: Option<u64>,
+        trace: u64,
     ) -> Result<(Json, usize), ServeError> {
         // Hedging costs a retry-budget token and a half-open slot on the
         // hedge node; without either, just keep waiting on the primary.
@@ -951,7 +813,7 @@ impl ClusterClient {
         self.health[primary].hedges += 1;
         let hedge_id = match self
             .conn(h)
-            .and_then(|c| c.send_traced(req, deadline_ms, trace))
+            .and_then(|c| c.send_traced(req, deadline_ms, Some(trace)))
         {
             Ok(id) => id,
             Err(_) => {
@@ -989,7 +851,7 @@ impl ClusterClient {
                         if let Some(c) = self.conns[primary].as_mut() {
                             let _ = c.set_read_timeout(None);
                         }
-                        return Self::matched(got, primary_id, bytes).map(|j| (j, primary));
+                        return matched(got, primary_id, bytes).map(|j| (j, primary));
                     }
                     Ok(Some(_)) | Ok(None) => {}
                     Err(e) => primary_err = Some(e),
@@ -1016,7 +878,7 @@ impl ClusterClient {
                         if let Some(c) = self.conns[h].as_mut() {
                             let _ = c.set_read_timeout(None);
                         }
-                        return Self::matched(got, hedge_id, bytes).map(|j| (j, h));
+                        return matched(got, hedge_id, bytes).map(|j| (j, h));
                     }
                     Ok(Some(_)) | Ok(None) => {}
                     Err(e) => {
@@ -1050,7 +912,7 @@ impl ClusterClient {
         let c = self.conns[primary].as_mut().expect("primary connected");
         let _ = c.set_read_timeout(None);
         let (got, bytes) = c.recv_raw()?;
-        Self::matched(got, primary_id, bytes).map(|j| (j, primary))
+        matched(got, primary_id, bytes).map(|j| (j, primary))
     }
 
     /// How long to wait before hedging this request, per the configured
@@ -1105,13 +967,6 @@ impl ClusterClient {
         }
     }
 
-    /// Record a successful routed call's client-observed latency.
-    fn observe_kind_latency(&mut self, req: &Request, t0: Instant) {
-        if let Some(ki) = kind_index(req.kind()) {
-            self.kind_lat[ki].record(t0.elapsed().as_micros() as u64);
-        }
-    }
-
     /// The read timeout for collecting a batch chunk whose requests are
     /// of `kinds_present`: 8× the worst per-kind p95, clamped to
     /// [500 ms, 15 s]. `None` — block indefinitely, the pre-failover
@@ -1135,27 +990,13 @@ impl ClusterClient {
 
     /// Route a whole batch: group requests by owning node, pipeline each
     /// node's share in windows of `window` frames (see
-    /// [`DEFAULT_WINDOW`]), and return results in *request* order. A
-    /// node failing mid-batch has its unanswered requests re-routed
-    /// along their fallback chains (budget permitting); `NodeDown` only
-    /// surfaces once a request's whole chain is exhausted.
-    pub fn call_many(
-        &mut self,
-        reqs: &[Request],
-        deadline_ms: Option<u64>,
-        window: usize,
-    ) -> Vec<Result<Json, ServeError>> {
-        self.call_many_raw(reqs, deadline_ms, window)
-            .into_iter()
-            .map(|r| r.and_then(|bytes| decode_envelope_bytes(&bytes)))
-            .collect()
-    }
-
-    /// [`ClusterClient::call_many`] without the decode: each answered
-    /// request yields its raw envelope bytes (run
-    /// [`decode_envelope_bytes`] later); `Err` is reserved for
-    /// transport-level failures — routing a control request
-    /// (`BadRequest`) or a whole chain unreachable (`NodeDown`).
+    /// [`DEFAULT_WINDOW`]), and return results in *request* order. Each
+    /// answered request yields its raw envelope bytes — run
+    /// [`decode_envelope_bytes`] for the payload, outside any timed loop;
+    /// `Err` is reserved for transport-level failures: routing a control
+    /// request (`BadRequest`) or a whole chain unreachable (`NodeDown`).
+    /// There is no busy-retry here: the window keeps a batch inside the
+    /// server's bounded job queue instead.
     ///
     /// Failure handling per node group: a connect failure, a torn
     /// connection, or (once per-kind latency samples exist) a read that
@@ -1165,7 +1006,7 @@ impl ClusterClient {
     /// position of each one's own fallback chain. Re-routing is
     /// assignment, not broadcast: each request lands on exactly one
     /// node per round, so no duplicate responses can ever be collected.
-    pub fn call_many_raw(
+    pub fn call_many(
         &mut self,
         reqs: &[Request],
         deadline_ms: Option<u64>,
@@ -1180,12 +1021,7 @@ impl ClusterClient {
         for (i, req) in reqs.iter().enumerate() {
             match &chains[i] {
                 Some(_) => pending.push((i, 0)),
-                None => {
-                    out[i] = Some(Err(ServeError::BadRequest(format!(
-                        "{} has no work key — control requests fan out to every node",
-                        req.kind()
-                    ))))
-                }
+                None => out[i] = Some(Err(no_work_key(req))),
             }
         }
         while !pending.is_empty() {
@@ -1336,7 +1172,7 @@ impl ClusterClient {
         (0..self.membership.members.len())
             .map(|node| {
                 let id = self.membership.members[node].id.clone();
-                let result = self.call_on(node, req, deadline_ms);
+                let result = self.call_on(node, req, deadline_ms, None);
                 match &result {
                     Ok(_) => self.health[node].breaker.on_success(),
                     // Whatever failed, do not trust the pooled stream —

@@ -13,6 +13,7 @@
 //! like the single-node differential suite.
 
 use flo_core::TargetLayers;
+use flo_serve::client::decode_envelope_bytes;
 use flo_serve::protocol::{Request, ServeError};
 use flo_serve::resilience::{CircuitState, Resilience};
 use flo_serve::{
@@ -190,7 +191,8 @@ fn two_node_cluster_matches_direct_bytes() {
     let membership = membership_of(2);
     let handles = spawn_nodes(&membership);
     wait_up(&membership);
-    let mut cc = flo_serve::ClusterClient::with_retries(membership.clone(), 0, 1);
+    let mut cc =
+        flo_serve::ClusterClient::with_resilience(membership.clone(), 0, 1, Resilience::from_env());
     let batch = work_batch();
     // The batch must actually exercise routing: both nodes own keys.
     let mut owners = [0usize; 2];
@@ -209,7 +211,9 @@ fn two_node_cluster_matches_direct_bytes() {
     // Pipelined and one-at-a-time paths must both match the oracle.
     let many = cc.call_many(&batch, None, 4);
     for ((req, got), want) in batch.iter().zip(many).zip(&expected) {
-        let got = got.unwrap_or_else(|e| panic!("{} failed: {e}", req.kind()));
+        let got = got
+            .and_then(|bytes| decode_envelope_bytes(&bytes))
+            .unwrap_or_else(|e| panic!("{} failed: {e}", req.kind()));
         assert_eq!(&got.to_string(), want, "pipelined {:?}", req.kind());
     }
     for (req, want) in batch.iter().zip(&expected) {
@@ -237,7 +241,8 @@ fn trace_ids_survive_cluster_restart_and_reconnect_failover() {
     let membership = membership_of(2);
     let handles = spawn_nodes(&membership);
     wait_up(&membership);
-    let mut cc = flo_serve::ClusterClient::with_retries(membership.clone(), 0, 1);
+    let mut cc =
+        flo_serve::ClusterClient::with_resilience(membership.clone(), 0, 1, Resilience::from_env());
     let req = Request::Simulate {
         app: "qio".into(),
         scale: Scale::Small,
@@ -248,7 +253,7 @@ fn trace_ids_survive_cluster_restart_and_reconnect_failover() {
     let node = cc.node_of(&req).expect("work request");
     let trace_before = 0x00AB_CD01u64;
     let first = cc
-        .call_on_traced(node, &req, None, Some(trace_before))
+        .call_on(node, &req, None, Some(trace_before))
         .expect("first routed call");
     // Restart the whole in-process cluster: the client's pooled
     // connections now point at dead sockets, exactly what a node crash
@@ -265,7 +270,7 @@ fn trace_ids_survive_cluster_restart_and_reconnect_failover() {
     // transport failure.
     let trace_after = 0x00AB_CD02u64;
     let second = cc
-        .call_on_traced(node, &req, None, Some(trace_after))
+        .call_on(node, &req, None, Some(trace_after))
         .expect("reconnect failover must answer");
     assert_eq!(
         first.to_string(),
@@ -275,7 +280,7 @@ fn trace_ids_survive_cluster_restart_and_reconnect_failover() {
     // The restarted node's telemetry ring proves the trace arrived: it
     // has served exactly one simulate, and it carries the pinned trace.
     let snap = cc
-        .call_on_traced(node, &Request::Telemetry, None, None)
+        .call_on(node, &Request::Telemetry, None, None)
         .expect("telemetry from restarted node");
     let ring_traces: Vec<u64> = match snap.get("slowest") {
         Some(flo_json::Json::Arr(entries)) => entries
@@ -329,6 +334,7 @@ fn keys_owned_by_a_dead_node_fail_typed_and_the_live_node_keeps_answering() {
     let results = cc.call_many(&batch, None, 4);
     let (mut served, mut down) = (0usize, 0usize);
     for (req, result) in batch.iter().zip(results) {
+        let result = result.and_then(|bytes| decode_envelope_bytes(&bytes));
         match (cc.node_of(req).expect("work request"), result) {
             (0, Ok(j)) => {
                 served += 1;
@@ -388,7 +394,9 @@ fn dead_node_keys_fail_over_to_the_ring_successor_byte_identically() {
     assert!(dead_owned > 0, "no key routed to the dead node");
     let direct = Service::with_budget(1 << 30);
     for (req, result) in batch.iter().zip(cc.call_many(&batch, None, 4)) {
-        let got = result.unwrap_or_else(|e| panic!("{:?} must fail over, got {e}", req.kind()));
+        let got = result
+            .and_then(|bytes| decode_envelope_bytes(&bytes))
+            .unwrap_or_else(|e| panic!("{:?} must fail over, got {e}", req.kind()));
         assert_eq!(
             got.to_string(),
             direct.execute(req).expect("direct").to_string(),
@@ -485,4 +493,92 @@ fn halt_mid_pipelined_inflight_resolves_every_frame_to_a_typed_error() {
         CircuitState::Open,
         "the kill must trip the node's breaker"
     );
+}
+
+/// A scripted one-connection node on a fresh socket: it answers its
+/// first `busy` frames with the typed `busy` error and every later one
+/// with `ok`, until the client hangs up. Returns the membership and a
+/// handle yielding the trace id of every frame it read.
+fn busy_stub(busy: usize) -> (Membership, std::thread::JoinHandle<Vec<Option<u64>>>) {
+    use flo_serve::protocol::{err_response_traced, ok_response_traced, read_frame, write_frame};
+    let membership = membership_of(1);
+    let Listen::Unix(path) = &membership.members[0].listen else {
+        unreachable!("test members listen on unix sockets")
+    };
+    let listener = std::os::unix::net::UnixListener::bind(path).expect("bind stub");
+    let path = path.clone();
+    let handle = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("stub accept");
+        let mut traces = Vec::new();
+        while let Ok(frame) = read_frame(&mut conn, &|| false) {
+            let id = frame.get("id").and_then(flo_json::Json::as_u64).unwrap();
+            let trace = frame.get("trace").and_then(flo_json::Json::as_u64);
+            let resp = if traces.len() < busy {
+                err_response_traced(id, trace, &ServeError::Busy)
+            } else {
+                ok_response_traced(id, trace, flo_json::Json::obj().set("pong", true))
+            };
+            traces.push(trace);
+            write_frame(&mut conn, &resp).expect("stub write");
+        }
+        let _ = std::fs::remove_file(path);
+        traces
+    });
+    (membership, handle)
+}
+
+/// Run `call` on a fresh client with `retries` busy-retries against a
+/// stub that answers `busy` twice; returns the result and the traces of
+/// the frames the stub saw.
+fn against_busy_stub(
+    retries: u32,
+    call: impl FnOnce(&mut flo_serve::ClusterClient) -> Result<flo_json::Json, ServeError>,
+) -> (Result<flo_json::Json, ServeError>, Vec<Option<u64>>) {
+    let (membership, stub) = busy_stub(2);
+    let mut cc =
+        flo_serve::ClusterClient::with_resilience(membership, retries, 1, Resilience::default());
+    let result = call(&mut cc);
+    drop(cc); // hang up, so the stub stops reading
+    (result, stub.join().expect("stub thread"))
+}
+
+#[test]
+fn busy_answers_are_retried_into_success_on_one_trace() {
+    let work = work_batch().remove(1);
+    let pinned = |cc: &mut flo_serve::ClusterClient| cc.call_on(0, &Request::Ping, None, None);
+    let routed = |cc: &mut flo_serve::ClusterClient| cc.call(&work, None);
+    for (path, (result, traces)) in [
+        ("call_on", against_busy_stub(2, pinned)),
+        ("call", against_busy_stub(2, routed)),
+    ] {
+        let json = result.unwrap_or_else(|e| panic!("{path}: two busy answers, two retries: {e}"));
+        assert_eq!(
+            json.get("pong").and_then(flo_json::Json::as_bool),
+            Some(true)
+        );
+        assert_eq!(traces.len(), 3, "{path}: one send plus two retries");
+        assert!(traces[0].is_some(), "{path}: frames carry a trace");
+        assert!(
+            traces.iter().all(|t| *t == traces[0]),
+            "{path}: every retry carries the first attempt's trace: {traces:?}"
+        );
+    }
+}
+
+#[test]
+fn busy_surfaces_once_the_retries_run_out() {
+    let work = work_batch().remove(1);
+    let pinned = |cc: &mut flo_serve::ClusterClient| cc.call_on(0, &Request::Ping, None, None);
+    let routed = |cc: &mut flo_serve::ClusterClient| cc.call(&work, None);
+    for (path, (result, traces)) in [
+        ("call_on", against_busy_stub(1, pinned)),
+        ("call", against_busy_stub(1, routed)),
+    ] {
+        assert_eq!(
+            result,
+            Err(ServeError::Busy),
+            "{path}: one retry is not enough"
+        );
+        assert_eq!(traces.len(), 2, "{path}: one send plus one retry");
+    }
 }

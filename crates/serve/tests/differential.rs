@@ -7,8 +7,12 @@
 //! so the tests serialize on a lock and reset the flag per server.
 
 use flo_core::TargetLayers;
+use flo_serve::client::decode_envelope_bytes;
 use flo_serve::protocol::{FaultSpec, Request};
-use flo_serve::{server, signal, Client, Listen, ServerConfig, Service};
+use flo_serve::resilience::Resilience;
+use flo_serve::{
+    server, signal, Client, ClusterClient, Listen, Member, Membership, ServerConfig, Service,
+};
 use flo_sim::{PolicyKind, SweepPoint};
 use flo_workloads::Scale;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,6 +70,15 @@ fn with_server<T>(
         assert!(!path.exists(), "socket must be unlinked after drain");
     }
     out
+}
+
+/// A client for the one daemon at `listen`, with no busy-retry.
+fn one_node(listen: &Listen) -> ClusterClient {
+    let members = vec![Member {
+        id: "n0".into(),
+        listen: listen.clone(),
+    }];
+    ClusterClient::with_resilience(Membership { members }, 0, 1, Resilience::default())
 }
 
 /// A mixed batch covering all three request kinds, healthy and faulted,
@@ -187,21 +200,25 @@ fn pipelined_responses_match_direct_and_report_completion_order() {
     let reqs = mixed_batch();
     let direct = direct_answers(&reqs);
     let served = with_server(256 << 20, 4, 32, |listen| {
-        let mut client = Client::connect(listen).expect("client connect");
-        client
-            .call_pipelined(&reqs, None)
-            .expect("pipelined transport")
+        // One window as wide as the batch: every frame is in flight at once.
+        one_node(listen).call_many(&reqs, None, reqs.len())
     });
-    for (i, (s, d)) in served.iter().zip(&direct).enumerate() {
-        let s = s.as_ref().expect("pipelined request").to_string();
+    for (i, (s, d)) in served.into_iter().zip(&direct).enumerate() {
+        let s = s
+            .and_then(|bytes| decode_envelope_bytes(&bytes))
+            .expect("pipelined request")
+            .to_string();
         assert_eq!(&s, d, "pipelined request {i} ({}) diverged", reqs[i].kind());
     }
     // And the pipelining gauge actually saw depth > 1.
     let max_depth = with_server(256 << 20, 2, 32, |listen| {
-        let mut client = Client::connect(listen).expect("client connect");
+        let mut cc = one_node(listen);
         let burst: Vec<Request> = (0..6).flat_map(|_| reqs[2..4].to_vec()).collect();
-        client.call_pipelined(&burst, None).expect("burst");
-        let stats = client.call(&Request::Stats, None).expect("stats");
+        for r in cc.call_many(&burst, None, burst.len()) {
+            r.expect("burst");
+        }
+        // Same pooled connection as the burst.
+        let stats = cc.call_on(0, &Request::Stats, None, None).expect("stats");
         stats
             .get("max_conn_inflight")
             .and_then(flo_json::Json::as_u64)
@@ -518,8 +535,8 @@ fn shutdown_drains_pipelined_jobs_on_one_connection() {
         signal::request_shutdown();
         let mut answered = Vec::new();
         for _ in 0..n {
-            let (id, payload) = client.recv().expect("drain must answer, not hang up");
-            match payload {
+            let (id, bytes) = client.recv_raw().expect("drain must answer, not hang up");
+            match decode_envelope_bytes(&bytes) {
                 Ok(_) | Err(flo_serve::ServeError::ShuttingDown) => answered.push(id),
                 Err(e) => panic!("pipelined job {id} got unexpected error during drain: {e}"),
             }

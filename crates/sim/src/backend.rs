@@ -3,8 +3,8 @@
 //! The access walk ([`StorageSystem::access_faulted`]) decides which
 //! requests reach the disk and charges them through the cost model; a
 //! [`BlockBackend`] decides what else a disk read does. [`Simulated`]
-//! (`REAL = false`) does nothing, so the hook site compiles away and
-//! `simulate` runs the pure model. A real-bytes backend (`flo-store`'s
+//! does nothing in an inlined empty method, so the call compiles away
+//! and `simulate` runs the pure model. A real-bytes backend (`flo-store`'s
 //! replay) issues one pread per disk read, on the walk's exact schedule.
 //!
 //! [`StorageSystem::access_faulted`]: crate::system::StorageSystem::access_faulted
@@ -13,12 +13,8 @@ use crate::block::BlockAddr;
 
 /// What a disk read touches beyond the modeled cost.
 pub trait BlockBackend {
-    /// Whether disk reads reach this backend. The walk skips the hook
-    /// (and the optimizer deletes it) when `false`.
-    const REAL: bool = true;
-
-    /// One disk read of `block`, served by storage node `node`.
-    fn read(&mut self, node: usize, block: BlockAddr);
+    /// One disk read of `block`.
+    fn read(&mut self, block: BlockAddr);
 }
 
 /// The model-only backend: disk reads exist only as charged latency.
@@ -26,8 +22,6 @@ pub trait BlockBackend {
 pub struct Simulated;
 
 impl BlockBackend for Simulated {
-    const REAL: bool = false;
-
     #[inline]
-    fn read(&mut self, _node: usize, _block: BlockAddr) {}
+    fn read(&mut self, _block: BlockAddr) {}
 }

@@ -214,9 +214,7 @@ impl StorageSystem {
         let (ms, sequential) =
             self.disks[sc_idx].read_classified(block, &self.disk_model, self.topo.storage_nodes);
         obs.disk_read(sc_idx, sequential, ms);
-        if B::REAL {
-            backend.read(sc_idx, block);
-        }
+        backend.read(block);
         if F::ACTIVE {
             faults.disk_cost(sc_idx, ms, obs)
         } else {

@@ -5,9 +5,9 @@
 //! itself against a deliberately naive reference hierarchy written from
 //! the model's description (§5.1, Fig. 1): every cache set is a plain
 //! `Vec` kept MRU-first, the set index is a plain `%`, and the
-//! inclusive-LRU and KARMA walks are spelled out directly. Only KARMA's
-//! allocation and the jittered interleaving are shared with the code
-//! under test.
+//! inclusive-LRU, exclusive DEMOTE-LRU and KARMA walks are spelled out
+//! directly. Only KARMA's allocation and the jittered interleaving are
+//! shared with the code under test.
 
 use flo_linalg::SplitMix64;
 use flo_sim::cache::CacheStats;
@@ -60,16 +60,32 @@ impl NaiveCache {
         hit
     }
 
-    /// Install a block that just missed as MRU, dropping the set's LRU.
-    fn install(&mut self, b: BlockAddr) {
+    /// Install a block as MRU (a resident copy just moves to the front);
+    /// returns the set's LRU block if the set overflows, which is dropped.
+    fn install(&mut self, b: BlockAddr) -> Option<BlockAddr> {
         let ways = self.ways;
         let set = self.set(b);
+        set.retain(|&x| x != b);
         set.insert(0, b);
-        if set.len() > ways {
-            set.pop();
-            self.evictions += 1;
-        }
+        let victim = if set.len() > ways { set.pop() } else { None };
+        self.evictions += u64::from(victim.is_some());
+        victim
     }
+
+    fn remove(&mut self, b: BlockAddr) {
+        self.set(b).retain(|&x| x != b);
+    }
+}
+
+/// The hierarchy policy a walk runs.
+#[derive(Clone, Copy)]
+enum Walk<'a> {
+    /// Inclusive LRU at both layers.
+    Lru,
+    /// Exclusive DEMOTE-LRU.
+    Demote,
+    /// KARMA with these hints.
+    Karma(&'a KarmaHints),
 }
 
 /// What the reference walk reports.
@@ -80,24 +96,46 @@ struct Outcome {
     total_requests: u64,
     io_evictions: u64,
     storage_evictions: u64,
+    demotions: u64,
 }
 
-/// Run `traces` through the reference hierarchy. `karma` selects the
-/// KARMA walk; `None` is inclusive LRU.
-fn naive_run(topo: &Topology, traces: &[ThreadTrace], karma: Option<&KarmaHints>) -> Outcome {
+/// Run `traces` through the reference hierarchy under `walk`.
+fn naive_run(topo: &Topology, traces: &[ThreadTrace], walk: Walk) -> Outcome {
     let mut io: Vec<NaiveCache> = (0..topo.io_nodes)
         .map(|_| NaiveCache::new(topo.io_cache_blocks, topo.cache_ways))
         .collect();
     let mut sc: Vec<NaiveCache> = (0..topo.storage_nodes)
         .map(|_| NaiveCache::new(topo.storage_cache_blocks, topo.cache_ways))
         .collect();
-    let karma = karma.map(|h| KarmaAssignment::allocate(h, topo));
-    let (mut disk_reads, mut total_requests) = (0, 0);
+    let karma = match walk {
+        Walk::Karma(h) => Some(KarmaAssignment::allocate(h, topo)),
+        Walk::Lru | Walk::Demote => None,
+    };
+    let (mut disk_reads, mut total_requests, mut demotions) = (0, 0, 0);
     for (t, e) in JitterInterleaver::new(traces, INTERLEAVE_SEED) {
         total_requests += 1;
         let (b, w) = (e.block, e.count);
         let i = traces[t].compute_node / (topo.compute_nodes / topo.io_nodes);
         let s = (b.index % topo.storage_nodes as u64) as usize;
+        if let Walk::Demote = walk {
+            // An upper hit stays up. Otherwise the block comes from below
+            // (and leaves it) or from disk, and goes up only; the upper
+            // victim it displaces is demoted below. "Below" is the storage
+            // cache this access went through, as in the simulator, even
+            // when the victim is striped onto another storage node.
+            if !io[i].lookup(b, w) {
+                if sc[s].lookup(b, 1) {
+                    sc[s].remove(b);
+                } else {
+                    disk_reads += 1;
+                }
+                if let Some(victim) = io[i].install(b) {
+                    demotions += 1;
+                    sc[s].install(victim);
+                }
+            }
+            continue;
+        }
         match karma.as_ref().map(|k| k.level_for(i, b.file)) {
             None => {
                 if !io[i].lookup(b, w) {
@@ -143,6 +181,7 @@ fn naive_run(topo: &Topology, traces: &[ThreadTrace], karma: Option<&KarmaHints>
         total_requests,
         io_evictions,
         storage_evictions,
+        demotions,
     }
 }
 
@@ -203,13 +242,14 @@ fn karma_hints(topo: &Topology) -> KarmaHints {
     ])
 }
 
-fn simulated(case: &Case, hints: Option<&KarmaHints>) -> flo_sim::SimReport {
-    let policy = match hints {
-        Some(_) => PolicyKind::Karma,
-        None => PolicyKind::LruInclusive,
+fn simulated(case: &Case, walk: Walk) -> flo_sim::SimReport {
+    let policy = match walk {
+        Walk::Lru => PolicyKind::LruInclusive,
+        Walk::Demote => PolicyKind::DemoteLru,
+        Walk::Karma(_) => PolicyKind::Karma,
     };
     let mut sys = StorageSystem::new(case.topo.clone(), policy).unwrap();
-    if let Some(h) = hints {
+    if let Walk::Karma(h) = walk {
         sys.set_karma_hints(h);
     }
     simulate(&mut sys, &case.traces, &RunConfig::default())
@@ -232,11 +272,11 @@ fn lru_walk_matches_naive_reference() {
     let mut rng = SplitMix64::new(0x0AC1E);
     for case_no in 0..40 {
         let case = random_case(&mut rng);
-        let naive = naive_run(&case.topo, &case.traces, None);
+        let naive = naive_run(&case.topo, &case.traces, Walk::Lru);
         assert_agrees(
             &format!("LRU case {case_no}"),
             &naive,
-            &simulated(&case, None),
+            &simulated(&case, Walk::Lru),
         );
     }
 }
@@ -247,12 +287,26 @@ fn karma_walk_matches_naive_reference() {
     for case_no in 0..40 {
         let case = random_case(&mut rng);
         let hints = karma_hints(&case.topo);
-        let naive = naive_run(&case.topo, &case.traces, Some(&hints));
+        let naive = naive_run(&case.topo, &case.traces, Walk::Karma(&hints));
         assert_agrees(
             &format!("KARMA case {case_no}"),
             &naive,
-            &simulated(&case, Some(&hints)),
+            &simulated(&case, Walk::Karma(&hints)),
         );
+    }
+}
+
+#[test]
+fn demote_walk_matches_naive_reference() {
+    let mut rng = SplitMix64::new(0xDE307E);
+    for case_no in 0..40 {
+        let case = random_case(&mut rng);
+        let tag = format!("DEMOTE-LRU case {case_no}");
+        let naive = naive_run(&case.topo, &case.traces, Walk::Demote);
+        let sim = simulated(&case, Walk::Demote);
+        assert_agrees(&tag, &naive, &sim);
+        assert_eq!(naive.demotions, sim.demotions, "{tag}: demotions");
+        assert!(naive.demotions > 0, "{tag}: must demote");
     }
 }
 
@@ -260,8 +314,8 @@ fn karma_walk_matches_naive_reference() {
 #[test]
 fn store_replay_matches_naive_reference() {
     let case = random_case(&mut SplitMix64::new(0x5708E));
-    let naive = naive_run(&case.topo, &case.traces, None);
-    assert_agrees("simulated", &naive, &simulated(&case, None));
+    let naive = naive_run(&case.topo, &case.traces, Walk::Lru);
+    assert_agrees("simulated", &naive, &simulated(&case, Walk::Lru));
 
     let dir = std::env::temp_dir().join(format!("flo-sim-oracle-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

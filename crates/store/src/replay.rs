@@ -111,7 +111,7 @@ struct Files<'a> {
 }
 
 impl BlockBackend for Files<'_> {
-    fn read(&mut self, _node: usize, block: BlockAddr) {
+    fn read(&mut self, block: BlockAddr) {
         if self.error.is_some() {
             return;
         }
