@@ -121,10 +121,10 @@ impl<V> ShardedLru<V> {
 
     /// [`ShardedLru::bounded`] with an explicit shard count (a power of
     /// two). The budget splits evenly across shards, so a cache of few,
-    /// large entries (rendered layout/response JSON runs ~100 KiB each)
-    /// wants few shards: with the default 16, an entry bigger than
-    /// `budget / 16` can never stay resident no matter how much of the
-    /// total budget is free.
+    /// large entries (a rendered full-scale `layout` response runs from
+    /// 95 KiB to 7.7 MiB) wants few shards: with the default 16, an
+    /// entry bigger than `budget / 16` can never stay resident no matter
+    /// how much of the total budget is free.
     pub fn bounded_with_shards(budget_bytes: usize, shards: usize) -> ShardedLru<V> {
         assert!(
             shards.is_power_of_two(),

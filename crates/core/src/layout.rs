@@ -7,8 +7,9 @@
 //! closed-form; the paper's inter-node layout is carried as the explicit
 //! address table Algorithm 1 constructs at compile time.
 
-use flo_json::Json;
+use flo_json::{write_u64_array, Json};
 use flo_polyhedral::DataSpace;
+use std::fmt;
 
 /// A file layout for one array.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -142,57 +143,56 @@ impl FileLayout {
         }
     }
 
-    /// Serialize to JSON — the wire form `flo-serve` layout responses
-    /// use. Deterministic: the same layout always renders to the same
-    /// bytes (hierarchical tables are emitted in index order).
-    pub fn to_json(&self) -> Json {
+    /// Stream the JSON wire form — the one layout renderer, used by
+    /// `flo-serve` layout responses and by [`FileLayout::fingerprint`].
+    /// Deterministic: the same layout always renders to the same bytes
+    /// (hierarchical tables are emitted in index order), and they are
+    /// the bytes a `Json` tree of the same fields would serialize to.
+    pub fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            FileLayout::RowMajor => Json::obj().set("kind", "row-major"),
-            FileLayout::ColMajor => Json::obj().set("kind", "col-major"),
-            FileLayout::DimPerm(p) => Json::obj().set("kind", "dim-perm").set(
-                "perm",
-                p.iter().map(|&d| Json::from(d as u64)).collect::<Vec<_>>(),
-            ),
-            FileLayout::Hierarchical(h) => Json::obj()
-                .set("kind", "hierarchical")
-                .set("file_elems", h.file_elems)
-                .set(
-                    "table",
-                    h.table.iter().map(|&o| Json::from(o)).collect::<Vec<_>>(),
-                ),
+            FileLayout::RowMajor => out.write_str(r#"{"kind":"row-major"}"#),
+            FileLayout::ColMajor => out.write_str(r#"{"kind":"col-major"}"#),
+            FileLayout::DimPerm(p) => {
+                out.write_str(r#"{"kind":"dim-perm","perm":"#)?;
+                write_u64_array(out, p.iter().map(|&d| d as u64))?;
+                out.write_char('}')
+            }
+            FileLayout::Hierarchical(h) => {
+                write!(
+                    out,
+                    r#"{{"kind":"hierarchical","file_elems":{},"table":"#,
+                    Json::from(h.file_elems)
+                )?;
+                write_u64_array(out, h.table.iter().copied())?;
+                out.write_char('}')
+            }
         }
     }
 
     /// A stable 64-bit fingerprint of this layout: FNV-1a over the
-    /// deterministic wire form. Equal layouts always fingerprint equal,
-    /// and any structural change (a permuted dimension, one table entry)
-    /// changes the hash. `flo-store` stamps this into its superblock so
-    /// a materialized store can refuse to serve a different layout's
-    /// replay.
+    /// deterministic wire form, hashed as it streams. Equal layouts
+    /// always fingerprint equal, and any structural change (a permuted
+    /// dimension, one table entry) changes the hash. `flo-store` stamps
+    /// this into its superblock so a materialized store can refuse to
+    /// serve a different layout's replay.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_json().to_string().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        let mut h = Fnv1a::default();
+        // Hashing never fails.
+        let _ = self.write_json(&mut h);
+        h.0
     }
 
     /// Combined fingerprint of a whole program's layout assignment, in
     /// slot order — the layout hash a multi-file store is sealed under.
     pub fn fingerprint_all<'a>(layouts: impl IntoIterator<Item = &'a FileLayout>) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv1a::default();
         for l in layouts {
-            let f = l.fingerprint();
-            for b in f.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h.bytes(&l.fingerprint().to_le_bytes());
         }
-        h
+        h.0
     }
 
-    /// Inverse of [`FileLayout::to_json`].
+    /// Inverse of [`FileLayout::write_json`].
     pub fn from_json(json: &Json) -> Result<FileLayout, String> {
         let kind = json
             .get("kind")
@@ -232,6 +232,30 @@ impl FileLayout {
     }
 }
 
+/// A 64-bit FNV-1a hash as a [`fmt::Write`] sink.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
 fn heap_permute(cur: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
     if k <= 1 {
         out.push(cur.clone());
@@ -256,6 +280,12 @@ mod tests {
         DataSpace::new(vec![3, 4])
     }
 
+    fn rendered(l: &FileLayout) -> String {
+        let mut out = String::new();
+        l.write_json(&mut out).unwrap();
+        out
+    }
+
     #[test]
     fn json_round_trips_every_kind() {
         let layouts = [
@@ -267,11 +297,19 @@ mod tests {
                 file_elems: 8,
             }),
         ];
-        for l in &layouts {
-            let back = FileLayout::from_json(&l.to_json()).unwrap();
+        let wires = [
+            r#"{"kind":"row-major"}"#,
+            r#"{"kind":"col-major"}"#,
+            r#"{"kind":"dim-perm","perm":[2,0,1]}"#,
+            r#"{"kind":"hierarchical","file_elems":8,"table":[0,4,1,5,2,6,3,7]}"#,
+        ];
+        for (l, want) in layouts.iter().zip(wires) {
+            let wire = rendered(l);
+            assert_eq!(wire, want);
+            let back = FileLayout::from_json(&flo_json::parse(&wire).unwrap()).unwrap();
             assert_eq!(&back, l, "round trip of {}", l.describe());
             // The wire form is deterministic.
-            assert_eq!(back.to_json().to_string(), l.to_json().to_string());
+            assert_eq!(rendered(&back), wire);
         }
         assert!(FileLayout::from_json(&Json::obj().set("kind", "nope")).is_err());
         assert!(FileLayout::from_json(&Json::obj()).is_err());
@@ -299,7 +337,7 @@ mod tests {
         // Stable across clones and re-serialization.
         for l in &layouts {
             assert_eq!(l.clone().fingerprint(), l.fingerprint());
-            let back = FileLayout::from_json(&l.to_json()).unwrap();
+            let back = FileLayout::from_json(&flo_json::parse(&rendered(l)).unwrap()).unwrap();
             assert_eq!(back.fingerprint(), l.fingerprint());
         }
         // Combined fingerprint is order-sensitive and differs from parts.

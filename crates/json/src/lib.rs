@@ -99,100 +99,159 @@ impl Json {
     /// Pretty rendering with two-space indentation.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        // fmt::Write into a String is infallible.
+        let _ = self.write(&mut out, Some(2), 0);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    fn write<W: fmt::Write>(
+        &self,
+        out: &mut W,
+        indent: Option<usize>,
+        depth: usize,
+    ) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             Json::Num(x) => write_num(out, *x),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
                 items[i].write(out, indent, depth + 1)
             }),
             Json::Obj(fields) => write_seq(out, indent, depth, '{', '}', fields.len(), |out, i| {
-                write_escaped(out, &fields[i].0);
-                out.push(':');
+                write_escaped(out, &fields[i].0)?;
+                out.write_char(':')?;
                 if indent.is_some() {
-                    out.push(' ');
+                    out.write_char(' ')?;
                 }
-                fields[i].1.write(out, indent, depth + 1);
+                fields[i].1.write(out, indent, depth + 1)
             }),
         }
     }
 }
 
 impl fmt::Display for Json {
-    /// Compact single-line rendering (`to_string()` comes with it).
+    /// Compact single-line rendering (`to_string()` comes with it),
+    /// written straight into the formatter, so `write!` renders into any
+    /// [`fmt::Write`] sink without an intermediate `String`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        f.write_str(&out)
+        self.write(f, None, 0)
     }
 }
 
-fn write_num(out: &mut String, x: f64) {
-    if !x.is_finite() {
-        // JSON has no Inf/NaN; null is the conventional substitute.
-        out.push_str("null");
-    } else if x == x.trunc() && x.abs() < 9e15 {
-        // fmt::Write into a String is infallible.
-        let _ = fmt::write(out, format_args!("{}", x as i64));
-    } else {
-        let _ = fmt::write(out, format_args!("{x}"));
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::write(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Write `[x0,x1,…]` exactly as a `Json` array of `Json::from(x)`
+/// values renders, without building it: plain decimal digits below
+/// 9e15, the `f64` rendering above (where `Json` numbers stop being
+/// exact integers). Digits are formatted into a stack buffer that
+/// reaches `out` a few KiB at a time, so a table of millions of entries
+/// costs a few thousand sink calls.
+pub fn write_u64_array<W: fmt::Write>(
+    out: &mut W,
+    xs: impl IntoIterator<Item = u64>,
+) -> fmt::Result {
+    let mut buf = [0u8; 4096];
+    buf[0] = b'[';
+    let mut len = 1;
+    for (i, x) in xs.into_iter().enumerate() {
+        // Room for a comma, 20 digits and the closing bracket.
+        if len + 22 > buf.len() {
+            out.write_str(ascii(&buf[..len])?)?;
+            len = 0;
+        }
+        if i > 0 {
+            buf[len] = b',';
+            len += 1;
+        }
+        if x < 9_000_000_000_000_000 {
+            len += format_digits(&mut buf[len..], x);
+        } else {
+            out.write_str(ascii(&buf[..len])?)?;
+            len = 0;
+            write_num(out, x as f64)?;
         }
     }
-    out.push('"');
+    buf[len] = b']';
+    out.write_str(ascii(&buf[..=len])?)
 }
 
-fn write_seq(
-    out: &mut String,
+/// Decimal digits of `x` at the front of `buf`; returns their count.
+fn format_digits(buf: &mut [u8], mut x: u64) -> usize {
+    let n = x.checked_ilog10().unwrap_or(0) as usize + 1;
+    for d in buf[..n].iter_mut().rev() {
+        *d = b'0' + (x % 10) as u8;
+        x /= 10;
+    }
+    n
+}
+
+fn ascii(bytes: &[u8]) -> Result<&str, fmt::Error> {
+    std::str::from_utf8(bytes).map_err(|_| fmt::Error)
+}
+
+fn write_num<W: fmt::Write>(out: &mut W, x: f64) -> fmt::Result {
+    if !x.is_finite() {
+        // JSON has no Inf/NaN; null is the conventional substitute.
+        out.write_str("null")
+    } else if x == x.trunc() && x.abs() < 9e15 {
+        write!(out, "{}", x as i64)
+    } else {
+        write!(out, "{x}")
+    }
+}
+
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    // Runs of characters that need no escape go to `out` in one call.
+    let mut run = 0;
+    for (i, c) in s.char_indices() {
+        if c >= ' ' && c != '"' && c != '\\' {
+            continue;
+        }
+        out.write_str(&s[run..i])?;
+        // Every escaped character is one byte of ASCII.
+        run = i + 1;
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c => write!(out, "\\u{:04x}", c as u32)?,
+        }
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
+
+fn write_seq<W: fmt::Write>(
+    out: &mut W,
     indent: Option<usize>,
     depth: usize,
     open: char,
     close: char,
     len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
+    mut item: impl FnMut(&mut W, usize) -> fmt::Result,
+) -> fmt::Result {
+    out.write_char(open)?;
     if len == 0 {
-        out.push(close);
-        return;
+        return out.write_char(close);
     }
     for i in 0..len {
         if let Some(w) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(w * (depth + 1)));
+            out.write_char('\n')?;
+            out.write_str(&" ".repeat(w * (depth + 1)))?;
         }
-        item(out, i);
+        item(out, i)?;
         if i + 1 < len {
-            out.push(',');
+            out.write_char(',')?;
         }
     }
     if let Some(w) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
+        out.write_char('\n')?;
+        out.write_str(&" ".repeat(w * depth))?;
     }
-    out.push(close);
+    out.write_char(close)
 }
 
 impl From<bool> for Json {
@@ -455,6 +514,10 @@ mod tests {
         assert_eq!(Json::Num(3.0).to_string(), "3");
         assert_eq!(Json::Num(0.5).to_string(), "0.5");
         assert_eq!(Json::Str("a\"b".into()).to_string(), "\"a\\\"b\"");
+        assert_eq!(
+            Json::Str("tab\t nl\n é \\ \u{1}.".into()).to_string(),
+            r#""tab\t nl\n é \\ \u0001.""#
+        );
     }
 
     #[test]
@@ -536,6 +599,29 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("{\"a\":1} x").is_err());
+    }
+
+    #[test]
+    fn write_u64_array_renders_like_a_json_array() {
+        let mut xs: Vec<u64> = (0..5000).map(|i| i * 7919).collect();
+        xs.extend([
+            8_999_999_999_999_999,
+            9_000_000_000_000_000,
+            1 << 53,
+            u64::MAX,
+            3,
+        ]);
+        let mut out = String::new();
+        write_u64_array(&mut out, xs.iter().copied()).unwrap();
+        assert_eq!(out, Json::from(xs).to_string(), "chunked array");
+        assert!(out.ends_with(
+            ",8999999999999999,9000000000000000,9007199254740992,18446744073709552000,3]"
+        ));
+        out.clear();
+        write_u64_array(&mut out, []).unwrap();
+        assert_eq!(out, "[]");
+        assert_eq!(Json::Num(-42.0).to_string(), "-42");
+        assert_eq!(Json::Num(-0.0).to_string(), "0");
     }
 
     #[test]

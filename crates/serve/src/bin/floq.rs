@@ -358,7 +358,13 @@ fn main() {
     if cluster.is_none() && args.direct {
         // In-process: the served result must be byte-identical to this.
         let service = Service::from_env();
-        let results = (0..args.pipeline).map(|_| service.execute(&req)).collect();
+        let results = (0..args.pipeline)
+            .map(|_| {
+                let bytes = service.execute_bytes(&req)?;
+                let text = String::from_utf8_lossy(&bytes);
+                flo_json::parse(&text).map_err(|e| ServeError::Internal(e.to_string()))
+            })
+            .collect();
         finish(results, args.prometheus);
     }
     let fan_out = cluster.is_some();

@@ -51,7 +51,7 @@
 //! cluster cache capacity (N × budget) — the honest scaling story on a
 //! single-core host, where CPU-parallel scaling is unavailable by
 //! construction. Every response, hit or recompute, must stay
-//! byte-identical to in-process `Service::execute`; results land in
+//! byte-identical to in-process `Service::execute_bytes`; results land in
 //! `BENCH_cluster.json` and `--cluster-gate X` fails the run below X×.
 //!
 //! **Chaos mode** (`--chaos N [--chaos-gate X]`) is the resilience
@@ -62,7 +62,7 @@
 //! restart of one node, SIGSTOP-style stall + resume of another, both
 //! chosen by xorshift64* off `FLO_SEED` (default 42) so the entire run
 //! replays bit-identically. Through every phase each response must stay
-//! byte-identical to direct `Service::execute` and zero routed requests
+//! byte-identical to direct `Service::execute_bytes` and zero routed requests
 //! may surface a node-down error — the ring-successor failover,
 //! circuit breakers, retry budget, and hedging (DESIGN.md §2.12) must
 //! absorb the churn. Results land in `BENCH_chaos.json`; `--chaos-gate
@@ -427,7 +427,10 @@ fn run_cluster_bench(opts: &Opts, n_max: usize) {
     let direct = Service::with_budget(1 << 30);
     let expected: Vec<String> = keys
         .iter()
-        .map(|r| direct.execute(r).expect("direct execution").to_string())
+        .map(|r| {
+            let bytes = direct.execute_bytes(r).expect("direct execution");
+            String::from_utf8(bytes.to_vec()).expect("UTF-8 result")
+        })
         .collect();
     let working_set: usize = expected.iter().map(String::len).sum();
     println!(
@@ -671,7 +674,10 @@ fn run_chaos_bench(opts: &Opts, n: usize) {
     let direct = Service::with_budget(1 << 30);
     let expected: Vec<String> = keys
         .iter()
-        .map(|r| direct.execute(r).expect("direct execution").to_string())
+        .map(|r| {
+            let bytes = direct.execute_bytes(r).expect("direct execution");
+            String::from_utf8(bytes.to_vec()).expect("UTF-8 result")
+        })
         .collect();
     println!(
         "servebench: chaos mode — {n} nodes, {} mixed keys, {} rounds/phase, FLO_SEED={seed}",

@@ -10,7 +10,7 @@
 //! The load-bearing property is *bit-identity*: a served response's
 //! `result` field is byte-for-byte the JSON the same computation
 //! produces in-process, because both paths run
-//! [`service::Service::execute`] over the same deterministic harness
+//! [`service::Service::execute_bytes`] over the same deterministic harness
 //! (`floq --direct` and the differential suite exercise exactly this).
 //! The shared [`flo_bench::RunCaches`] — promoted from per-binary locals
 //! to service scope, LRU-bounded by `FLO_CACHE_MB` — therefore never

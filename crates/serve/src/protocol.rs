@@ -20,7 +20,7 @@
 //! "result":{...}}` on success, `{"v":1, "id":7, "trace":..., "ok":false,
 //! "error":{"kind":"busy", "message":"..."}}` on failure. The `result`
 //! field of a served response is **bit-identical** to the JSON the same
-//! computation produces in-process (see `Service::execute` and the
+//! computation produces in-process (see `Service::execute_bytes` and the
 //! `differential` suite) — only the envelope is the server's.
 //!
 //! `trace` is the optional client-assigned **trace id**: an opaque u64
@@ -37,7 +37,7 @@ use flo_core::TargetLayers;
 use flo_json::Json;
 use flo_sim::{PolicyKind, SweepPoint};
 use flo_workloads::Scale;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 
 /// Version of the request/response envelope. Bump on any incompatible
@@ -610,11 +610,14 @@ pub fn ok_response_bytes(id: u64, result: &[u8]) -> Vec<u8> {
 /// [`ok_response_bytes`] echoing a trace id.
 pub fn ok_response_bytes_traced(id: u64, trace: Option<u64>, result: &[u8]) -> Vec<u8> {
     // Render the scalar prefix through the one true serializer, then
-    // replace its closing brace with the spliced `result` field.
-    let prefix = response_head(id, trace).set("ok", true).to_string();
-    let mut out = Vec::with_capacity(prefix.len() + result.len() + 12);
-    out.extend_from_slice(&prefix.as_bytes()[..prefix.len() - 1]);
-    out.extend_from_slice(b",\"result\":");
+    // replace its closing brace with the spliced `result` field. The
+    // head is a few dozen bytes; one allocation holds the whole envelope.
+    let mut out = String::with_capacity(result.len() + 96);
+    // fmt::Write into a String is infallible.
+    let _ = write!(out, "{}", response_head(id, trace).set("ok", true));
+    out.pop();
+    out.push_str(",\"result\":");
+    let mut out = out.into_bytes();
     out.extend_from_slice(result);
     out.push(b'}');
     out

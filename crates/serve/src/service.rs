@@ -1,11 +1,12 @@
 //! Request execution over the shared cross-request cache.
 //!
-//! [`Service::execute`] is the *only* code path that turns a [`Request`]
-//! into a result — the daemon's worker threads, `floq --direct`, and the
-//! differential suite all call it (or the underlying harness functions it
-//! delegates to). Bit-identical served responses are therefore a
-//! construction property, not a testing aspiration: the server adds an
-//! envelope around the very JSON an in-process caller would produce.
+//! [`Service::execute_bytes`] is the *only* public code path that turns a
+//! [`Request`] into a result — the daemon's worker threads (through
+//! [`Service::execute_bytes_probed`]), `floq --direct`, `servebench` and
+//! the differential suite all call it. Bit-identical served responses
+//! are therefore a construction property, not a testing aspiration: the
+//! server adds an envelope around the very bytes an in-process caller
+//! gets.
 //!
 //! Two things make that sound:
 //!
@@ -16,6 +17,12 @@
 //!   all yield the same bytes;
 //! * results carry no wall-clock values. The layout response reports the
 //!   pass's `optimized_fraction` but deliberately omits `compile_ms`.
+//!
+//! A `layout` result carries every per-array address table Algorithm 1
+//! built, so it is large — 95 KiB (cc-ver-1) to 7.7 MiB (applu) at full
+//! scale. Its tables therefore stream straight into the result bytes
+//! ([`flo_core::FileLayout::write_json`]) behind a small `Json` head and
+//! are never built as a tree; every other kind renders a `Json` tree.
 
 use crate::protocol::{scale_name, target_name, FaultSpec, Request, ServeError};
 use flo_bench::experiments::figm;
@@ -29,6 +36,7 @@ use flo_json::Json;
 use flo_sim::{FaultPlan, PolicyKind, SweepPoint};
 use flo_workloads::{by_name, Scale, Workload};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -64,21 +72,18 @@ impl Flight {
 }
 
 /// The shared state behind every request: the run caches promoted from
-/// per-binary locals into service scope, plus a small cache of rendered
-/// layout responses (the layout pass has no entry in [`RunCaches`]; its
-/// JSON is tiny and rebuilding it is pure, so caching the rendered form
-/// is both safe and sufficient).
+/// per-binary locals into service scope, plus the rendered result bytes
+/// of work requests. The layout pass has no entry in [`RunCaches`]: a
+/// `layout` result is cached only as its rendered bytes.
 pub struct Service {
     /// Trace / simulation / fault / hint memoization shared by all
     /// requests.
     pub caches: RunCaches,
-    /// Rendered `layout` results keyed by (app, scale, target).
-    layouts: ShardedLru<Json>,
     /// Serialized result bytes keyed by the whole request: a warm hit
-    /// skips JSON re-serialization entirely (the daemon splices these
-    /// bytes straight into the response frame). Safe for exactly the
-    /// reason the other caches are — execution is deterministic, so the
-    /// bytes are a pure function of the request.
+    /// skips both the computation and its rendering (the daemon splices
+    /// these bytes straight into the response frame). Safe for exactly
+    /// the reason the other caches are — execution is deterministic, so
+    /// the bytes are a pure function of the request.
     responses: ShardedLru<Vec<u8>>,
     /// Latest measured store-replay point per (app, policy), rendered:
     /// the telemetry `store` panel `flotop` shows next to simulated
@@ -103,13 +108,12 @@ impl Service {
     pub fn with_budget(budget_bytes: usize) -> Service {
         Service {
             caches: RunCaches::with_budget(budget_bytes),
-            // Fixed slices of the budget, split over few shards: a
-            // rendered large-scale layout response runs to ~130 KB, and
-            // an entry larger than its *shard's* budget is never
-            // retained — 4 shards keep the per-shard budget above the
-            // biggest single response at much smaller total budgets
-            // than the default 16 shards would.
-            layouts: ShardedLru::bounded_with_shards(budget_bytes / 16, 4),
+            // A fixed slice of the budget, split over few shards: a
+            // rendered full-scale layout result runs from 95 KiB to
+            // 7.7 MiB, and an entry larger than its *shard's* budget is
+            // never retained — 4 shards keep the per-shard budget above
+            // the big responses at much smaller total budgets than the
+            // default 16 shards would.
             responses: ShardedLru::bounded_with_shards(budget_bytes / 16, 4),
             stores: Mutex::new(Vec::new()),
             inflight: Mutex::new(HashMap::new()),
@@ -128,45 +132,13 @@ impl Service {
         Service::with_budget(mb << 20)
     }
 
-    /// Execute one request. Pure with respect to the request: the same
-    /// request always returns the same result JSON, served or direct,
-    /// cold or warm.
-    pub fn execute(&self, req: &Request) -> Result<Json, ServeError> {
-        match req {
-            Request::Ping => Ok(Json::obj().set("pong", true)),
-            Request::Stats => Ok(self.stats()),
-            // The server intercepts telemetry and shutdown before
-            // execution; answering here keeps `--direct` total (an
-            // in-process caller has no daemon accumulator to report).
-            Request::Telemetry => Ok(Json::obj()
-                .set("v", flo_obs::TELEMETRY_VERSION)
-                .set("enabled", false)),
-            Request::Shutdown => Ok(Json::obj().set("draining", true)),
-            Request::Layout { app, scale, target } => self.layout(app, *scale, *target),
-            Request::Simulate {
-                app,
-                scale,
-                scheme,
-                policy,
-                fault,
-            } => self.simulate(app, *scale, *scheme, *policy, *fault),
-            Request::Store { app, scale, policy } => self.store(app, *scale, *policy),
-            Request::Sweep {
-                app,
-                scale,
-                scheme,
-                policy,
-                points,
-            } => self.sweep(app, *scale, *scheme, *policy, points),
-        }
-    }
-
-    /// Execute one request and return its serialized `result` bytes.
-    /// Work request kinds (`layout` / `simulate` / `sweep`) are memoized
-    /// by the whole request, so a warm hit skips both recomputation
-    /// *and* JSON re-serialization — the daemon splices the bytes into
-    /// the response frame unchanged. Always byte-identical to
-    /// `execute(req)?.to_string()` (the differential suite asserts it).
+    /// Execute one request and return its serialized `result` bytes —
+    /// the one public execution entry point. Pure with respect to the
+    /// request: the same request always returns the same bytes, served
+    /// or direct, cold or warm. Work request kinds (`layout` /
+    /// `simulate` / `store` / `sweep`) are memoized by the whole
+    /// request, so a warm hit skips both recomputation *and* rendering —
+    /// the daemon splices the bytes into the response frame unchanged.
     pub fn execute_bytes(&self, req: &Request) -> Result<Arc<Vec<u8>>, ServeError> {
         self.execute_bytes_probed(req).0
     }
@@ -223,7 +195,11 @@ impl Service {
     /// serialized bytes in the response cache.
     fn compute_bytes(&self, req: &Request, key: Option<u64>) -> Result<Arc<Vec<u8>>, ServeError> {
         self.executions.fetch_add(1, Ordering::Relaxed);
-        let bytes = Arc::new(self.execute(req)?.to_string().into_bytes());
+        let mut bytes = self.render(req)?;
+        // The cache charges the length, so the allocation must not be
+        // larger than it.
+        bytes.shrink_to_fit();
+        let bytes = Arc::new(bytes);
         Ok(match key {
             Some(key) => {
                 let cost = bytes.len();
@@ -231,6 +207,40 @@ impl Service {
             }
             None => bytes,
         })
+    }
+
+    /// Compute one request's result and render it as compact JSON.
+    fn render(&self, req: &Request) -> Result<Vec<u8>, ServeError> {
+        let json = match req {
+            Request::Ping => Json::obj().set("pong", true),
+            Request::Stats => self.stats(),
+            // The server intercepts telemetry and shutdown before
+            // execution; answering here keeps `--direct` total (an
+            // in-process caller has no daemon accumulator to report).
+            Request::Telemetry => Json::obj()
+                .set("v", flo_obs::TELEMETRY_VERSION)
+                .set("enabled", false),
+            Request::Shutdown => Json::obj().set("draining", true),
+            Request::Layout { app, scale, target } => {
+                return self.layout(app, *scale, *target).map(String::into_bytes)
+            }
+            Request::Simulate {
+                app,
+                scale,
+                scheme,
+                policy,
+                fault,
+            } => self.simulate(app, *scale, *scheme, *policy, *fault)?,
+            Request::Store { app, scale, policy } => self.store(app, *scale, *policy)?,
+            Request::Sweep {
+                app,
+                scale,
+                scheme,
+                policy,
+                points,
+            } => self.sweep(app, *scale, *scheme, *policy, points)?,
+        };
+        Ok(json.to_string().into_bytes())
     }
 
     /// Computations actually executed (as opposed to served warm or
@@ -270,21 +280,19 @@ impl Service {
         Json::obj()
             .set(
                 "cache_hits",
-                self.caches.total_hits() + self.layouts.hits() + self.responses.hits(),
+                self.caches.total_hits() + self.responses.hits(),
             )
             .set(
                 "cache_misses",
-                self.caches.total_misses() + self.layouts.misses() + self.responses.misses(),
+                self.caches.total_misses() + self.responses.misses(),
             )
             .set(
                 "cache_evictions",
-                self.caches.total_evictions()
-                    + self.layouts.evictions()
-                    + self.responses.evictions(),
+                self.caches.total_evictions() + self.responses.evictions(),
             )
             .set(
                 "cache_used_bytes",
-                self.caches.used_bytes() + self.layouts.used_bytes() + self.responses.used_bytes(),
+                self.caches.used_bytes() + self.responses.used_bytes(),
             )
             .set("singleflight_dedups", self.dedups())
     }
@@ -299,14 +307,11 @@ impl Service {
         })
     }
 
-    fn layout(&self, app: &str, scale: Scale, target: TargetLayers) -> Result<Json, ServeError> {
+    /// The `layout` work kind, rendered as it is built: the `Json` head
+    /// (`app`, `scale`, `target`, `optimized_fraction`) is reopened and
+    /// each array's layout streams in after it.
+    fn layout(&self, app: &str, scale: Scale, target: TargetLayers) -> Result<String, ServeError> {
         let workload = self.workload(app, scale)?;
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        (app, scale_name(scale), target_name(target)).hash(&mut h);
-        let key = h.finish();
-        if let Some(hit) = self.layouts.get(key) {
-            return Ok((*hit).clone());
-        }
         let topo = topology_for(scale);
         let overrides = RunOverrides {
             mapping: None,
@@ -316,21 +321,25 @@ impl Service {
             .map_err(|e| ServeError::Internal(e.to_string()))?;
         // No `compile_ms` here: results must be reproducible bytes, and
         // wall-clock compile time is not (see the module docs).
-        let result = Json::obj()
+        let head = Json::obj()
             .set("app", app)
             .set("scale", scale_name(scale))
             .set("target", target_name(target))
-            .set("optimized_fraction", prepared.optimized_fraction)
-            .set(
-                "layouts",
-                prepared
-                    .layouts
-                    .iter()
-                    .map(flo_core::FileLayout::to_json)
-                    .collect::<Vec<Json>>(),
-            );
-        let cost = result.to_string().len();
-        Ok((*self.layouts.insert(key, Arc::new(result), cost)).clone())
+            .set("optimized_fraction", prepared.optimized_fraction);
+        // fmt::Write into a String is infallible.
+        let mut out = String::new();
+        let _ = write!(out, "{head}");
+        // Reopen the head: its closing brace moves after the layouts.
+        out.pop();
+        out.push_str(",\"layouts\":[");
+        for (i, layout) in prepared.layouts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = layout.write_json(&mut out);
+        }
+        out.push_str("]}");
+        Ok(out)
     }
 
     fn simulate(
@@ -477,10 +486,16 @@ mod tests {
         }
     }
 
+    /// A request's result, parsed back from its rendered bytes.
+    fn execute_json(svc: &Service, req: &Request) -> Json {
+        let bytes = svc.execute_bytes(req).unwrap();
+        flo_json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap()
+    }
+
     #[test]
     fn unknown_app_is_a_bad_request() {
         let svc = Service::with_budget(1 << 20);
-        match svc.execute(&req_simulate("no-such-app")) {
+        match svc.execute_bytes(&req_simulate("no-such-app")) {
             Err(ServeError::BadRequest(m)) => assert!(m.contains("no-such-app"), "{m}"),
             other => panic!("wanted bad-request, got {other:?}"),
         }
@@ -490,9 +505,9 @@ mod tests {
     fn repeated_requests_are_bit_identical_and_hit_the_cache() {
         let svc = Service::with_budget(64 << 20);
         let req = req_simulate("qio");
-        let a = svc.execute(&req).unwrap().to_string();
+        let a = svc.execute_bytes(&req).unwrap();
         let misses = svc.caches.total_misses();
-        let b = svc.execute(&req).unwrap().to_string();
+        let b = svc.execute_bytes(&req).unwrap();
         assert_eq!(a, b);
         assert_eq!(
             svc.caches.total_misses(),
@@ -506,24 +521,26 @@ mod tests {
         let cold = Service::with_budget(0);
         let warm = Service::with_budget(64 << 20);
         let req = req_simulate("swim");
-        let a = cold.execute(&req).unwrap().to_string();
-        let b = cold.execute(&req).unwrap().to_string();
-        let c = warm.execute(&req).unwrap().to_string();
+        let a = cold.execute_bytes(&req).unwrap();
+        let b = cold.execute_bytes(&req).unwrap();
+        let c = warm.execute_bytes(&req).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b), "a zero budget retains nothing");
         assert_eq!(a, b, "cold recomputation is deterministic");
         assert_eq!(a, c, "cold and warm answers agree");
     }
 
     #[test]
     fn layout_response_has_no_wall_clock_fields() {
-        let svc = Service::with_budget(1 << 20);
+        let svc = Service::with_budget(0);
         let req = Request::Layout {
             app: "qio".into(),
             scale: Scale::Small,
             target: TargetLayers::Both,
         };
-        let a = svc.execute(&req).unwrap();
-        let b = svc.execute(&req).unwrap();
-        assert_eq!(a.to_string(), b.to_string());
+        let a = svc.execute_bytes(&req).unwrap();
+        let b = svc.execute_bytes(&req).unwrap();
+        assert_eq!(a, b);
+        let a = execute_json(&svc, &req);
         assert!(a.get("compile_ms").is_none());
         assert!(!a.get("layouts").unwrap().as_arr().unwrap().is_empty());
     }
@@ -534,9 +551,9 @@ mod tests {
         let req = req_simulate("qio");
         let cold = svc.execute_bytes(&req).unwrap();
         assert_eq!(
-            cold.as_slice(),
-            svc.execute(&req).unwrap().to_string().as_bytes(),
-            "cached bytes must equal the re-serialized path"
+            cold,
+            Service::with_budget(0).execute_bytes(&req).unwrap(),
+            "cached bytes must equal a fresh recomputation"
         );
         let before = svc.responses.hits();
         let warm = svc.execute_bytes(&req).unwrap();
@@ -582,20 +599,23 @@ mod tests {
 
     #[test]
     fn store_requests_measure_agree_and_fill_the_panel() {
-        let svc = Service::with_budget(64 << 20);
+        // A zero budget makes the repeat measure again instead of
+        // answering from the response cache.
+        let svc = Service::with_budget(0);
         assert!(svc.store_panel().is_none(), "panel starts empty");
         let req = Request::Store {
             app: "qio".into(),
             scale: Scale::Small,
             policy: PolicyKind::LruInclusive,
         };
-        let a = svc.execute(&req).unwrap();
+        let a = execute_json(&svc, &req);
         assert_eq!(a.get("agree").and_then(Json::as_bool), Some(true));
         assert!(
             a.get("replay_wall_ms").is_none() && a.get("wall_ms").is_none(),
             "served store results must not carry wall-clock fields"
         );
-        let b = svc.execute(&req).unwrap();
+        let b = execute_json(&svc, &req);
+        assert_eq!(svc.executions(), 2, "the repeat measured again");
         assert_eq!(a.to_string(), b.to_string(), "reproducible bytes");
         let panel = svc.store_panel().unwrap();
         assert_eq!(
@@ -610,7 +630,10 @@ mod tests {
             scale: Scale::Small,
             policy: PolicyKind::MqSecondLevel,
         };
-        assert!(matches!(svc.execute(&bad), Err(ServeError::BadRequest(_))));
+        assert!(matches!(
+            svc.execute_bytes(&bad),
+            Err(ServeError::BadRequest(_))
+        ));
     }
 
     #[test]
@@ -626,9 +649,10 @@ mod tests {
                 intensity: 1.0,
             }),
         };
-        let a = svc.execute(&req).unwrap();
-        assert!(a.get("faults").is_some());
-        let b = svc.execute(&req).unwrap();
-        assert_eq!(a.to_string(), b.to_string());
+        assert!(execute_json(&svc, &req).get("faults").is_some());
+        assert_eq!(
+            svc.execute_bytes(&req).unwrap(),
+            Service::with_budget(0).execute_bytes(&req).unwrap()
+        );
     }
 }

@@ -177,6 +177,11 @@ fn spawn_nodes(membership: &Membership) -> Vec<std::thread::JoinHandle<std::io::
         .collect()
 }
 
+/// The in-process answer to `req`: the bytes every node must echo.
+fn direct_text(direct: &Service, req: &Request) -> String {
+    String::from_utf8(direct.execute_bytes(req).expect("direct").to_vec()).expect("UTF-8 result")
+}
+
 fn wait_up(membership: &Membership) {
     for m in &membership.members {
         flo_serve::Client::connect_retry(&m.listen, Duration::from_secs(10))
@@ -204,10 +209,7 @@ fn two_node_cluster_matches_direct_bytes() {
         "batch does not split across the ring: {owners:?}"
     );
     let direct = Service::with_budget(1 << 30);
-    let expected: Vec<String> = batch
-        .iter()
-        .map(|r| direct.execute(r).expect("direct").to_string())
-        .collect();
+    let expected: Vec<String> = batch.iter().map(|r| direct_text(&direct, r)).collect();
     // Pipelined and one-at-a-time paths must both match the oracle.
     let many = cc.call_many(&batch, None, 4);
     for ((req, got), want) in batch.iter().zip(many).zip(&expected) {
@@ -340,7 +342,7 @@ fn keys_owned_by_a_dead_node_fail_typed_and_the_live_node_keeps_answering() {
                 served += 1;
                 assert_eq!(
                     j.to_string(),
-                    direct.execute(req).expect("direct").to_string(),
+                    direct_text(&direct, req),
                     "live node must stay byte-identical while its peer is down"
                 );
             }
@@ -399,7 +401,7 @@ fn dead_node_keys_fail_over_to_the_ring_successor_byte_identically() {
             .unwrap_or_else(|e| panic!("{:?} must fail over, got {e}", req.kind()));
         assert_eq!(
             got.to_string(),
-            direct.execute(req).expect("direct").to_string(),
+            direct_text(&direct, req),
             "failover answer for {:?} diverges from direct",
             req.kind()
         );
@@ -408,10 +410,7 @@ fn dead_node_keys_fail_over_to_the_ring_successor_byte_identically() {
     // connect-timeout discovery cost — the chain skips the open node).
     for req in &batch {
         let got = cc.call(req, None).expect("routed call must fail over");
-        assert_eq!(
-            got.to_string(),
-            direct.execute(req).expect("direct").to_string()
-        );
+        assert_eq!(got.to_string(), direct_text(&direct, req));
     }
     let dead = cc.node_health(1);
     assert_eq!(
